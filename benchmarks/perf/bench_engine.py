@@ -6,17 +6,11 @@ Measures events/second through :mod:`repro.sim.engine` and
 scheduling hot paths without any application logic:
 
 * ``timeout_churn`` -- N processes looping on ``env.timeout``; stresses
-  ``_schedule`` / ``step`` / ``Process._resume``.
+  ``Timeout`` scheduling, the drain loop and ``Process._resume``.
 * ``event_pingpong`` -- process pairs waking each other through pending
   events; stresses ``succeed`` + callback dispatch.
 * ``resource_contention`` -- processes cycling acquire/hold/release on a
   shared :class:`Resource`; stresses the waiter heap and request events.
-
-A separate ``wide_timer_churn`` probe (not in the composite) compares the
-default heap queue against ``Environment(queue="calendar")`` and the
-adaptive ``queue="auto"`` default at a 20k pending-timer population --
-the regime where the calendar queue's O(1) buckets overtake heapq's
-C-implemented O(log n) sift.
 
 A ``slo_monitor_churn`` probe (also outside the composite) drives the
 application completion hook with a deterministic latency pattern, SLO
@@ -27,8 +21,8 @@ monitor-off path costs nothing beyond the empty-listener guard.
 An allocation probe re-runs each composite workload under ``tracemalloc``
 and reports peak traced bytes per event plus garbage-collector collection
 counts, so allocator regressions in the event core are caught by the same
-trend gate as throughput regressions (``check_regression.py`` enforces a
-ceiling on the timeout-churn bytes/event).
+trend gate as throughput regressions (``check_regression.py`` enforces
+ceilings on the timeout-churn bytes/event and GC collections).
 
 The composite score (total events across all workloads / total seconds) is
 written to ``BENCH_engine.json`` at the repository root together with the
@@ -49,7 +43,6 @@ from __future__ import annotations
 
 import gc
 import json
-import subprocess
 import sys
 import tracemalloc
 
@@ -79,21 +72,14 @@ RECORDED_BASELINE = {
     "composite": 560000.0,
 }
 
-#: Pre-freelist allocator baseline, measured on the same container
-#: immediately before the slotted event core (pooled Timeouts + SoA
-#: now-bucket) landed.  ``bytes_per_event`` is the tracemalloc live-peak
-#: per event; ``timeout_allocs_per_event`` is fresh Timeout
-#: constructions per event, which pre-freelist equals the workload's
-#: timeouts-per-event ratio by construction (every timeout was a fresh
-#: object).  Re-baseline only when the workloads change.
+#: Allocator baseline, measured on the same container immediately before
+#: the slotted event core (SoA now-bucket) landed: tracemalloc live-peak
+#: bytes per event.  Re-baseline only when the workloads change.
 RECORDED_ALLOC_BASELINE = {
-    "timeout_churn": {"bytes_per_event": 0.54, "timeout_allocs_per_event": 0.999},
-    "event_pingpong": {"bytes_per_event": 0.36, "timeout_allocs_per_event": 0.4998},
-    "resource_contention": {
-        "bytes_per_event": 0.55,
-        "timeout_allocs_per_event": 0.4995,
-    },
-    "store_handoff": {"bytes_per_event": 0.70, "timeout_allocs_per_event": 0.3329},
+    "timeout_churn": {"bytes_per_event": 0.54},
+    "event_pingpong": {"bytes_per_event": 0.36},
+    "resource_contention": {"bytes_per_event": 0.55},
+    "store_handoff": {"bytes_per_event": 0.70},
 }
 
 #: Workload shrink factors for ``--smoke`` (CI): a few thousand events,
@@ -190,79 +176,6 @@ WORKLOADS = {
 }
 
 
-def wide_timer_churn(queue: str, n_procs: int = 20_000, iterations: int = 5):
-    """Timer churn with a *large* pending-event population.
-
-    The four composite workloads keep at most a few hundred events
-    pending, where heapq's C implementation wins outright; the calendar
-    queue's O(1) bucket operations only pay off once the pending
-    population is large enough that O(log n) sift costs dominate --
-    the fleet-scale regime.  This workload measures that crossover.
-    """
-    env = Environment(queue=queue)
-
-    def looper(env: Environment, delay: float) -> object:
-        for _ in range(iterations):
-            yield env.timeout(delay)
-
-    for i in range(n_procs):
-        env.process(looper(env, 0.1 + 0.0001 * i))
-    env.run()
-    return env
-
-
-def _queue_probe_rate(queue: str, n_procs: int) -> float:
-    """One timed ``wide_timer_churn`` run, returning events/sec."""
-    start = time.perf_counter()
-    env = wide_timer_churn(queue, n_procs=n_procs)
-    elapsed = time.perf_counter() - start
-    return env._seq / elapsed
-
-
-def _isolated_rate(queue: str, n_procs: int) -> float:
-    """Run one queue probe in a fresh interpreter and return events/sec.
-
-    Sequential in-process comparisons cross-contaminate: the heap of the
-    run before leaves allocator/GC state that skews the run after by more
-    than the effect being measured (observed ~25% at 20k timers).  Each
-    probe therefore gets its own process; ``--queue-probe`` below is the
-    child entry point.
-    """
-    out = subprocess.run(
-        [sys.executable, __file__, "--queue-probe", queue, str(n_procs)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return float(out.stdout.strip())
-
-
-def bench_calendar_queue(
-    repeats: int = 3, n_procs: int = 20_000, isolate: bool = False
-) -> dict:
-    """Best-of-``repeats`` heap/calendar/auto comparison at ``n_procs`` timers."""
-    rates = {}
-    for queue in ("heap", "calendar", "auto"):
-        best = 0.0
-        for _ in range(repeats):
-            rate = (
-                _isolated_rate(queue, n_procs)
-                if isolate
-                else _queue_probe_rate(queue, n_procs)
-            )
-            best = max(best, rate)
-        rates[queue] = round(best, 1)
-    return {
-        "workload": "wide_timer_churn",
-        "pending_timers": n_procs,
-        "heap_events_per_sec": rates["heap"],
-        "calendar_events_per_sec": rates["calendar"],
-        "auto_events_per_sec": rates["auto"],
-        "calendar_speedup": round(rates["calendar"] / rates["heap"], 3),
-        "auto_speedup": round(rates["auto"] / rates["heap"], 3),
-    }
-
-
 def _slo_probe(n_requests: int, with_monitor: bool) -> float:
     """One timed completion-churn run, returning completions/sec.
 
@@ -313,7 +226,7 @@ def bench_slo_monitor(repeats: int = 3, n_requests: int = 200_000) -> dict:
 def measure_allocations(
     kwargs_by_name: dict[str, dict[str, int]] | None = None,
 ) -> dict:
-    """Allocator pressure per workload: live peak, GC runs, object churn.
+    """Allocator pressure per workload: live peak and GC runs.
 
     Runs each composite workload once under ``tracemalloc`` (separately
     from the timed runs -- tracing costs ~2x wall time) and reports:
@@ -321,26 +234,11 @@ def measure_allocations(
     * ``bytes_per_event`` -- tracemalloc peak / events: the *live*
       allocation high-water mark.  Transient per-event objects are freed
       before the next event, so this catches footprint regressions
-      (leaked queue entries, an unbounded pool) but by construction
-      cannot see balanced churn.
+      (leaked queue entries, events kept alive after processing) but by
+      construction cannot see balanced churn.
     * ``gc_collections`` -- collector runs triggered by the workload.
-    * ``timeout_allocs_per_event`` / ``timeout_alloc_bytes_per_event``
-      -- the churn the freelist removes, from the engine's own counters:
-      fresh ``Timeout`` constructions (and their measured object +
-      callbacks-list bytes) per event.  Before the freelist every
-      timeout was a fresh object, i.e. the pre-change value of
-      ``timeout_allocs_per_event`` is exactly ``timeouts_per_event``
-      (recorded alongside), so the reduction is self-calibrating.
-    * ``timeout_reuse_fraction`` -- freelist hit rate.
     """
     overrides = kwargs_by_name or {}
-    # Measured per-Timeout allocation traffic: the object itself plus the
-    # callbacks list every fresh Timeout carries.
-    probe_env = Environment()
-    probe_timeout = probe_env.timeout(1.0)
-    timeout_bytes = sys.getsizeof(probe_timeout) + sys.getsizeof(
-        probe_timeout.callbacks
-    )
     out: dict[str, dict[str, float | int]] = {}
     for name, workload in WORKLOADS.items():
         kwargs = overrides.get(name, {})
@@ -352,21 +250,11 @@ def measure_allocations(
         tracemalloc.stop()
         collections_after = sum(s["collections"] for s in gc.get_stats())
         events = env._seq
-        pool = env.timeout_pool_stats()
-        timeouts = pool["allocs"] + pool["reuses"]
         out[name] = {
             "events": events,
             "peak_bytes": peak,
             "bytes_per_event": round(peak / events, 4),
             "gc_collections": collections_after - collections_before,
-            "timeouts_per_event": round(timeouts / events, 4),
-            "timeout_allocs_per_event": round(pool["allocs"] / events, 4),
-            "timeout_alloc_bytes_per_event": round(
-                pool["allocs"] * timeout_bytes / events, 4
-            ),
-            "timeout_reuse_fraction": (
-                round(pool["reuses"] / timeouts, 4) if timeouts else 0.0
-            ),
         }
     return out
 
@@ -413,10 +301,6 @@ def run_benchmark(
 
 def main() -> int:
     argv = sys.argv[1:]
-    if argv and argv[0] == "--queue-probe":
-        # Child entry point for _isolated_rate: one run, one number.
-        print(_queue_probe_rate(argv[1], int(argv[2])))
-        return 0
     args = [a for a in argv if a != "--smoke"]
     smoke = "--smoke" in argv
     repeats = int(args[0]) if args else (1 if smoke else 3)
@@ -424,7 +308,6 @@ def main() -> int:
         # CI smoke: execute every benchmark code path on tiny budgets and
         # never write BENCH_engine.json (the numbers are meaningless).
         current = run_benchmark(repeats=repeats, kwargs_by_name=SMOKE_KWARGS)
-        queue_probe = bench_calendar_queue(repeats=repeats, n_procs=200)
         slo_probe = bench_slo_monitor(repeats=repeats, n_requests=2_000)
         allocations = measure_allocations(SMOKE_KWARGS)
         print(
@@ -432,7 +315,6 @@ def main() -> int:
                 {
                     "smoke": True,
                     "composite_events": current["composite"]["events"],
-                    "queue_probe_events": queue_probe["pending_timers"],
                     "slo_probe_completions": slo_probe["completions"],
                     "allocations": allocations,
                 },
@@ -447,15 +329,9 @@ def main() -> int:
         "baseline_events_per_sec": RECORDED_BASELINE,
         "baseline_bytes_per_event": RECORDED_ALLOC_BASELINE,
         "current": current,
-        # Not part of the composite: the queue comparison and the
-        # allocation probe are separate experiments (same logical
-        # workloads, different instrumentation), so the composite trend
-        # stays comparable across PRs.  Queue probes run in isolated
-        # child processes -- see _isolated_rate.
-        "calendar_queue": bench_calendar_queue(repeats=repeats, isolate=True),
-        "calendar_queue_wide": bench_calendar_queue(
-            repeats=repeats, n_procs=100_000, isolate=True
-        ),
+        # Not part of the composite: the SLO probe and the allocation
+        # probe are separate experiments (different instrumentation), so
+        # the composite trend stays comparable across PRs.
         "slo_monitor": bench_slo_monitor(repeats=repeats),
         "allocations": measure_allocations(),
         "speedup_vs_baseline": {

@@ -62,36 +62,15 @@ FLOORS = [
     ("BENCH_runner.json", ("grid", "speedup"), 2.0, (("cpus",), 4)),
     ("BENCH_runner.json", ("grid", "pool_amortized_speedup"), 0.75, None),
     ("BENCH_runner.json", ("grid", "pool_amortized_speedup"), 2.0, (("cpus",), 4)),
-    # The Timeout freelist must keep absorbing nearly every timeout on
-    # the churn workload; a broken recycle guard shows up here first.
-    (
-        "BENCH_engine.json",
-        ("allocations", "timeout_churn", "timeout_reuse_fraction"),
-        0.95,
-        None,
-    ),
 ]
 
 #: Absolute ceilings, same shape as FLOORS but lower-is-better: checked
 #: against the fresh numbers, failing when the metric *exceeds* the
 #: bound.  These gate allocator pressure in the event core
-#: (docs/performance.md): fresh-Timeout churn per event (pre-freelist
-#: value was ~1.0 on timeout_churn), the estimated churn bytes it
-#: implies, the tracemalloc live peak per event (catches leaked queue
-#: entries / an unbounded pool), and GC collections per run.
+#: (docs/performance.md): the tracemalloc live peak per event (catches
+#: leaked queue entries or events kept alive after processing) and GC
+#: collections per run.
 CEILINGS = [
-    (
-        "BENCH_engine.json",
-        ("allocations", "timeout_churn", "timeout_allocs_per_event"),
-        0.01,
-        None,
-    ),
-    (
-        "BENCH_engine.json",
-        ("allocations", "timeout_churn", "timeout_alloc_bytes_per_event"),
-        2.0,
-        None,
-    ),
     (
         "BENCH_engine.json",
         ("allocations", "timeout_churn", "bytes_per_event"),

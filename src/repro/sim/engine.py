@@ -24,70 +24,42 @@ chase and one queue append instead of nested method calls); processes
 cache their generator's bound ``send``/``throw`` and their own ``_resume``
 callback instead of recreating bound methods per wait.
 
-The schedule itself is a two-level bucket queue.  Events triggered *at
-the current simulation time* with the default priority -- ``succeed``,
-``fail``, process bootstraps, zero-delay timeouts, which together are
-roughly half of all events in RPC-heavy runs -- land in the "now
-bucket".  Because simulation time never goes backwards and the
-tie-breaking sequence number increases monotonically, *every* pending
-now-bucket entry provably has ``time == now`` and ``priority == 1``, so
-the bucket stores only the two columns that vary -- a deque of sequence
-numbers and a parallel deque of events -- instead of a
-``(time, priority, seq, event)`` tuple per entry.  The flat
-structure-of-arrays form cuts a 4-tuple allocation (and its GC
-tracking) from every succeed/grant/bootstrap, which is the single
-largest allocation source in RPC-heavy runs; the logical schedule is
-unchanged and the queue interface (:meth:`Environment.peek`,
-:meth:`Environment.step`, the trace hook) still presents full
-``(time, priority, seq, event)`` entries.
+The schedule logically holds ``(time, priority, seq, event)`` entries
+and pops them in ascending order.  It is stored in two levels:
 
-Future events (positive-delay timeouts) and priority-0 interrupts go to
-a binary heap, or to a :class:`CalendarQueue` that buckets events by
-time and sorts one small bucket at a time (cheaper than heap sifts for
-large timeout-dominated schedules).  ``Environment(queue=...)`` selects
-the structure: ``"heap"`` and ``"calendar"`` pin one, and the default
-``"auto"`` starts on the heap and migrates to a calendar when the
-observed pending-set size crosses the crossover regime (and back when
-it drains), with the calendar's bucket width chosen from the observed
-event-time span and resized online on overflow/underflow.  Every pop
-takes the global minimum across the levels, so scheduling order is
-*identical* for all queue choices: the schedule still logically holds
-``(time, priority, seq, event)`` tuples and the same-seed byte-identical
-trace regression in ``tests/sim/test_determinism.py`` (plus the
-three-way equivalence suite in ``tests/sim/test_queue_equivalence.py``)
-pins the contract.
+* The *now bucket* takes events triggered at the current time with the
+  default priority -- ``succeed``, ``fail``, process bootstraps,
+  zero-delay timeouts, roughly half of all events in RPC-heavy runs.
+  Time never goes backwards and the sequence number only grows, so every
+  pending entry provably has ``time == now`` and ``priority == 1``; the
+  bucket stores just a deque of sequence numbers and a parallel deque of
+  events, with no tuple per entry.
+* A binary heap (``heapq``) takes everything else: positive-delay
+  timeouts and priority-0 interrupts.
 
-Timeouts -- by far the most frequently constructed event -- are pooled:
-after a timeout's callbacks run, the drain loop recycles the object
-into a per-environment freelist *iff* nothing else holds a reference to
-it (checked with ``sys.getrefcount``, so a timeout stored in a
-variable, a condition, or a trace hook is never reused under anyone's
-feet).  Recycled handles keep their ``_PROCESSED`` state, so a stale
-``succeed()``/``fail()`` raises immediately, and every reuse bumps the
-object's generation counter and validates the freelist invariants,
-raising :class:`SimulationError` instead of silently corrupting the
-schedule.  Benchmarked by ``benchmarks/perf/bench_engine.py`` (results
-in ``BENCH_engine.json``; queue comparison and the allocation probe in
-``docs/performance.md``).
+Each pop takes the smaller of the two fronts, so the global order is the
+exact ``(time, priority, seq)`` order.  Deployments keep a few dozen
+events pending at most, where heapq's C sift is as cheap as a queue can
+be (docs/performance.md).  :meth:`Environment.run` drains the schedule
+with one inlined loop (:meth:`Environment._drain`), or with a
+:meth:`Environment.step` loop when a trace hook is installed, ``step`` is
+overridden, or the run stops on an event.  Both pop the same order; the
+same-seed byte-identical trace regression in
+``tests/sim/test_determinism.py`` and the drain-loop equivalence suite in
+``tests/sim/test_drain_equivalence.py`` pin the contract.  Benchmarked by
+``benchmarks/perf/bench_engine.py`` (results in ``BENCH_engine.json``).
 """
 
 from __future__ import annotations
 
-from bisect import insort as _insort
 from collections import deque
 from collections.abc import Generator, Iterable
-from heapq import (
-    heapify as _heapify,
-    heappop as _heappop,
-    heappush as _heappush,
-)
-from sys import getrefcount as _getrefcount
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Environment",
     "Event",
     "Interrupt",
@@ -117,25 +89,6 @@ class Interrupt(Exception):
 _PENDING = 0
 _TRIGGERED = 1  # scheduled, callbacks not yet run
 _PROCESSED = 2  # callbacks have run
-
-#: Maximum recycled :class:`Timeout` objects kept per environment.  At
-#: 4096 the pool covers the deepest concurrent-timeout populations of
-#: the composite benchmarks while bounding the footprint of a pool that
-#: a workload stops using.
-_POOL_MAX = 4096
-
-#: ``queue="auto"``: pending future events before the heap is migrated
-#: to a calendar queue (upgrade), and the calendar population below
-#: which it migrates back (downgrade).  The 4x hysteresis band prevents
-#: thrashing around the boundary; the values bracket the measured
-#: heap/calendar crossover on the reference container (heapq's C sift
-#: wins below ~5k pending, the calendar wins from ~10k up -- see
-#: docs/performance.md).
-_AUTO_CAL_UPGRADE = 8192
-_AUTO_CAL_DOWNGRADE = _AUTO_CAL_UPGRADE // 4
-
-#: Sentinel threshold for fixed queue modes: never migrate.
-_NEVER = 1 << 62
 
 
 class Event:
@@ -227,16 +180,9 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
+    """An event that fires ``delay`` time units after creation."""
 
-    Timeouts are pooled per environment (see
-    :meth:`Environment.timeout`); ``_gen`` counts how many times this
-    object has been handed out.  Constructing one directly always
-    allocates fresh and is fully supported -- the pool is an
-    optimization of the factory, not a change in semantics.
-    """
-
-    __slots__ = ("delay", "_gen")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -250,8 +196,6 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self._defused = False
         self.delay = delay
-        self._gen = 0
-        env._timeout_allocs += 1
         env._seq = seq = env._seq + 1
         now = env._now
         when = now + delay
@@ -259,15 +203,11 @@ class Timeout(Event):
             # Fires at the current time (zero delay, or a delay so small
             # it underflows the float add): now bucket.  Identical global
             # order either way -- at equal (time, priority) the pop
-            # compares sequence numbers regardless of the structure.
+            # compares sequence numbers regardless of the level.
             env._fseq_app(seq)
             env._fev_app(self)
         else:
-            cal = env._cal
-            if cal is None:
-                _heappush(env._queue, (when, 1, seq, self))
-            else:
-                cal.push((when, 1, seq, self))
+            _heappush(env._queue, (when, 1, seq, self))
 
 
 class _ConditionValue(dict):
@@ -377,7 +317,7 @@ class Process(Event):
         """
         if self._state != _PENDING:
             raise SimulationError("cannot interrupt a finished process")
-        if self._target is self.env.active_process:
+        if self is self.env.active_process:
             raise SimulationError("a process cannot interrupt itself")
         env = self.env
         interrupt_event = Event(env)
@@ -387,8 +327,7 @@ class Process(Event):
         interrupt_event._state = _TRIGGERED
         env._seq = seq = env._seq + 1
         # Priority 0 beats every same-time event: interrupts go to the
-        # heap (the spill level in calendar/auto modes), never the
-        # priority-1 now bucket.
+        # heap, never the priority-1 now bucket.
         _heappush(env._queue, (env._now, 0, seq, interrupt_event))
         interrupt_event.callbacks.append(self._resume_cb)
 
@@ -449,187 +388,6 @@ class Process(Event):
             return
 
 
-#: Queue entry: (time, priority, seq, event).
-_Entry = "tuple[float, int, int, Event]"
-
-#: Adaptive calendar-queue constants: a freshly sorted bucket larger
-#: than ``_BUCKET_OVERFLOW`` halves the width (too many events share a
-#: bucket); exhausting ``_PROBE_LIMIT`` empty buckets in one advance
-#: doubles it (buckets much finer than the event spacing).  Resizes are
-#: O(n), so at least ``_RESIZE_COOLDOWN`` bucket advances must pass
-#: between them.
-_BUCKET_OVERFLOW = 1024
-_PROBE_LIMIT = 64
-_RESIZE_COOLDOWN = 16
-
-
-class CalendarQueue:
-    """Bucketed future-event queue (a classic calendar queue).
-
-    Events are hashed into buckets of ``width`` simulated seconds by
-    their fire time; the bucket currently being consumed is kept sorted
-    (ascending ``(time, priority, seq)``) and drained from the front,
-    and empty buckets are skipped on the way to the next nonempty one.
-    Compared to a binary heap this replaces the O(log n) tuple-comparing
-    sift per push/pop with an O(1) append plus one amortized small-batch
-    sort, which wins when the schedule is large and dominated by
-    timeouts landing a bounded distance in the future.
-
-    The width adapts online: a bucket that sorts too large halves it, an
-    advance that skips too many empty buckets doubles it (both rate
-    limited -- see ``_RESIZE_COOLDOWN``), so a misjudged initial width
-    converges to the workload's event spacing instead of degenerating
-    into one giant sorted list or a sea of empty buckets.
-
-    ``front`` is the smallest entry (or ``None`` when empty) and is
-    maintained on every mutation so the environment's pop loop can
-    compare queue levels with plain attribute reads.  Pop order is the
-    exact global ``(time, priority, seq)`` order -- the queue choice is
-    invisible to simulation results.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_cur",
-        "_cur_list",
-        "_inv_width",
-        "front",
-        "_len",
-        "_cooldown",
-    )
-
-    def __init__(self, width: float = 0.01) -> None:
-        if width <= 0:
-            raise SimulationError(f"calendar bucket width must be > 0, got {width}")
-        self._inv_width = 1.0 / width
-        #: bucket index -> unsorted list of entries (strictly after _cur).
-        self._buckets: dict[int, list] = {}
-        self._cur = 0
-        #: Entries of the bucket being consumed, sorted ascending.
-        self._cur_list: list = []
-        self.front: tuple[float, int, int, Event] | None = None
-        self._len = 0
-        self._cooldown = _RESIZE_COOLDOWN
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in simulated seconds (adapts online)."""
-        return 1.0 / self._inv_width
-
-    def push(self, entry: "tuple[float, int, int, Event]") -> None:
-        self._len += 1
-        cur_list = self._cur_list
-        if not cur_list:
-            # Queue was empty: start consuming at this entry's bucket.
-            self._cur = int(entry[0] * self._inv_width)
-            cur_list.append(entry)
-            self.front = entry
-            return
-        idx = int(entry[0] * self._inv_width)
-        if idx <= self._cur:
-            # Lands in (or before) the bucket being consumed: insert in
-            # order.  Buckets are small by construction, so the insort
-            # memmove is cheap.
-            _insort(cur_list, entry)
-            self.front = cur_list[0]
-        else:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [entry]
-            else:
-                bucket.append(entry)
-
-    def pop(self) -> "tuple[float, int, int, Event]":
-        cur_list = self._cur_list
-        entry = cur_list.pop(0)
-        self._len -= 1
-        if cur_list:
-            self.front = cur_list[0]
-            return entry
-        # Advance to the next nonempty bucket.  Buckets are keyed by
-        # absolute index, so a long empty stretch is skipped by jumping
-        # straight to the smallest remaining key once linear probing
-        # stops paying off.
-        if self._len:
-            buckets = self._buckets
-            cur = self._cur
-            exhausted = False
-            for _ in range(_PROBE_LIMIT):
-                cur += 1
-                nxt = buckets.pop(cur, None)
-                if nxt is not None:
-                    break
-            else:
-                cur = min(buckets)
-                nxt = buckets.pop(cur)
-                exhausted = True
-            nxt.sort()
-            self._cur = cur
-            self._cur_list = nxt
-            self.front = nxt[0]
-            # Online width adaptation, rate limited to one O(n) resize
-            # per _RESIZE_COOLDOWN bucket advances.
-            cooldown = self._cooldown - 1
-            if cooldown > 0:
-                self._cooldown = cooldown
-            elif exhausted:
-                # Probing gave up: buckets are much finer than the event
-                # spacing.  Double the width.
-                self._cooldown = _RESIZE_COOLDOWN
-                self._resize(self._inv_width * 0.5)
-            elif len(nxt) > _BUCKET_OVERFLOW:
-                # One bucket holds a large sorted batch: buckets are too
-                # coarse.  Halve the width.
-                self._cooldown = _RESIZE_COOLDOWN
-                self._resize(self._inv_width * 2.0)
-            else:
-                self._cooldown = 1  # stay armed
-        else:
-            self.front = None
-        return entry
-
-    def _bulk_load(self, entries: "Iterable[tuple[float, int, int, Event]]") -> None:
-        """Load ``entries`` (any order) into an *empty* queue in O(n)."""
-        if self._len:
-            raise SimulationError("_bulk_load() on a nonempty calendar queue")
-        buckets = self._buckets
-        inv_width = self._inv_width
-        count = 0
-        for entry in entries:
-            idx = int(entry[0] * inv_width)
-            bucket = buckets.get(idx)
-            if bucket is None:
-                buckets[idx] = [entry]
-            else:
-                bucket.append(entry)
-            count += 1
-        self._len = count
-        if buckets:
-            cur = min(buckets)
-            cur_list = buckets.pop(cur)
-            cur_list.sort()
-            self._cur = cur
-            self._cur_list = cur_list
-            self.front = cur_list[0]
-
-    def _resize(self, inv_width: float) -> None:
-        """Re-bucket every entry under a new width (front is unchanged)."""
-        entries = self._cur_list
-        for bucket in self._buckets.values():
-            entries.extend(bucket)
-        self._inv_width = inv_width
-        self._buckets = {}
-        self._cur_list = []
-        self._len = 0
-        if not entries:
-            self.front = None
-            return
-        self._bulk_load(entries)
-
-
 class Environment:
     """The simulation environment: clock plus event queue.
 
@@ -639,35 +397,20 @@ class Environment:
         env.process(my_generator(env))
         env.run(until=100.0)
 
-    ``queue`` selects the future-event structure for this run:
-
-    * ``"auto"`` (default) -- start on a binary heap and migrate to a
-      :class:`CalendarQueue` when the pending future-event population
-      grows past the measured heap/calendar crossover (and back once it
-      drains); the calendar's initial bucket width is derived from the
-      observed event-time span at migration and adapts online.
-    * ``"heap"`` -- always the binary heap.
-    * ``"calendar"`` -- always a :class:`CalendarQueue` with
-      ``bucket_width``-sized time buckets (the width still adapts).
-
-    Scheduling order -- and therefore every simulation result -- is
-    identical for every choice; only the constant factors differ (see
-    docs/performance.md for measurements, and
-    ``tests/sim/test_queue_equivalence.py`` for the executable proof).
+    The schedule is the two-level queue described in the module
+    docstring: a now bucket for current-time default-priority triggers
+    and a binary heap for future events and interrupts.  ``trace``
+    installs an event-trace hook (see :attr:`trace`).
     """
 
     def __init__(
         self,
         initial_time: float = 0.0,
         trace: Callable[[float, int, int, Event], None] | None = None,
-        queue: str = "auto",
-        bucket_width: float = 0.01,
     ) -> None:
         self._now = float(initial_time)
         #: Future events (positive-delay timeouts) and priority-0
-        #: interrupts.  In calendar mode this heap still exists as the
-        #: spill level for interrupts and externally constructed events,
-        #: so every push site stays correct regardless of queue choice.
+        #: interrupts, as a heapq of (time, priority, seq, event).
         self._queue: list[tuple[float, int, int, Event]] = []
         #: The "now bucket" as a flat structure of arrays: every pending
         #: entry provably has ``time == self._now`` and ``priority == 1``
@@ -682,41 +425,15 @@ class Environment:
         #: (every succeed/fail/grant/bootstrap goes through them).
         self._fseq_app = self._fifo_seq.append
         self._fev_app = self._fifo_ev.append
-        if bucket_width <= 0:
-            raise SimulationError(
-                f"calendar bucket width must be > 0, got {bucket_width}"
-            )
-        self._bucket_width = float(bucket_width)
-        if queue == "auto":
-            self._cal: CalendarQueue | None = None
-            self._cal_up = _AUTO_CAL_UPGRADE
-            self._cal_down = _AUTO_CAL_DOWNGRADE
-        elif queue == "heap":
-            self._cal = None
-            self._cal_up = _NEVER
-            self._cal_down = 0
-        elif queue == "calendar":
-            self._cal = CalendarQueue(width=bucket_width)
-            self._cal_up = _NEVER
-            self._cal_down = 0
-        else:
-            raise SimulationError(f"unknown queue kind {queue!r}")
-        self._queue_kind = queue
         self._seq = 0
         self._active_process: Process | None = None
         #: Optional event-trace hook: called as ``trace(when, priority,
         #: seq, event)`` for every event popped off the schedule, *before*
         #: its callbacks run.  ``None`` (the default) keeps the inlined
-        #: drain loops in :meth:`run` -- tracing off costs nothing on the
+        #: drain loop in :meth:`run` -- tracing off costs nothing on the
         #: hot path.  See :mod:`repro.sim.trace` for ready-made hooks
         #: (event recorders, run digests).
         self._trace = trace
-        #: Freelist of recycled Timeout objects (see :meth:`timeout`).
-        self._pool: list[Timeout] = []
-        #: Fresh Timeout constructions vs pool reuses -- the allocation
-        #: probe in benchmarks/perf/bench_engine.py reads both.
-        self._timeout_allocs = 0
-        self._timeout_reuses = 0
 
     @property
     def trace(self) -> Callable[[float, int, int, Event], None] | None:
@@ -733,68 +450,14 @@ class Environment:
         """The process currently executing, if any."""
         return self._active_process
 
-    @property
-    def queue_kind(self) -> str:
-        """The queue mode this environment was constructed with."""
-        return self._queue_kind
-
-    def timeout_pool_stats(self) -> dict[str, int]:
-        """Freelist counters: fresh allocations, reuses, pooled objects."""
-        return {
-            "allocs": self._timeout_allocs,
-            "reuses": self._timeout_reuses,
-            "pooled": len(self._pool),
-        }
-
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
         """Create a new pending :class:`Event`."""
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` time units from now.
-
-        Hands out a recycled :class:`Timeout` from the environment's
-        freelist when one is available (the drain loops return a timeout
-        to the pool once its callbacks have run and nothing else
-        references it).  Reuse validates the freelist invariants --
-        a recycled handle that was resurrected through a stale reference
-        raises :class:`SimulationError` here rather than corrupting the
-        schedule -- and bumps the object's generation counter.
-        """
-        pool = self._pool
-        if not pool:
-            return Timeout(self, delay, value)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        timeout = pool.pop()
-        if (
-            timeout._state != _PROCESSED
-            or timeout.callbacks is None
-            or timeout.callbacks
-        ):
-            raise SimulationError(
-                "timeout freelist corrupted: a recycled Timeout was mutated "
-                "through a stale handle"
-            )
-        timeout._gen += 1
-        timeout._state = _TRIGGERED
-        timeout._value = value
-        timeout.delay = delay
-        self._timeout_reuses += 1
-        self._seq = seq = self._seq + 1
-        now = self._now
-        when = now + delay
-        if when == now:
-            self._fseq_app(seq)
-            self._fev_app(timeout)
-        else:
-            cal = self._cal
-            if cal is None:
-                _heappush(self._queue, (when, 1, seq, timeout))
-            else:
-                cal.push((when, 1, seq, timeout))
-        return timeout
+        """Create an event firing ``delay`` time units from now."""
+        return Timeout(self, delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """Create an event firing at absolute simulated time ``when``.
@@ -803,47 +466,25 @@ class Environment:
         is exactly ``when``: no ``now + (when - now)`` float round trip.
         Batch-generating processes (the workload layer pre-computes
         arrival times far ahead of the clock) use this to wake at
-        precomputed times bit-for-bit.  Pool-backed like
-        :meth:`timeout`.
+        precomputed times bit-for-bit.
         """
         now = self._now
         if when < now:
             raise SimulationError(f"timeout_at({when}) is in the past (now={now})")
-        pool = self._pool
-        if pool:
-            timeout = pool.pop()
-            if (
-                timeout._state != _PROCESSED
-                or timeout.callbacks is None
-                or timeout.callbacks
-            ):
-                raise SimulationError(
-                    "timeout freelist corrupted: a recycled Timeout was "
-                    "mutated through a stale handle"
-                )
-            timeout._gen += 1
-            self._timeout_reuses += 1
-        else:
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout.callbacks = []
-            timeout._ok = True
-            timeout._defused = False
-            timeout._gen = 0
-            self._timeout_allocs += 1
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
         timeout._value = value
+        timeout._ok = True
         timeout._state = _TRIGGERED
+        timeout._defused = False
         timeout.delay = when - now
         self._seq = seq = self._seq + 1
         if when == now:
             self._fseq_app(seq)
             self._fev_app(timeout)
         else:
-            cal = self._cal
-            if cal is None:
-                _heappush(self._queue, (when, 1, seq, timeout))
-            else:
-                cal.push((when, 1, seq, timeout))
+            _heappush(self._queue, (when, 1, seq, timeout))
         return timeout
 
     def process(self, generator: Generator) -> Process:
@@ -859,100 +500,15 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        self._seq += 1
-        when = self._now + delay
-        if priority == 1 and when == self._now:
-            self._fseq_app(self._seq)
-            self._fev_app(event)
-        else:
-            _heappush(self._queue, (when, priority, self._seq, event))
-
-    def _upgrade_queue(self) -> None:
-        """Migrate the heap to a calendar queue (auto mode, grown past
-        the crossover).
-
-        The initial bucket width targets ~8 entries per bucket over the
-        observed event-time span (the ROADMAP's bucket-width heuristic);
-        the calendar refines it online from there.  The heap list is
-        emptied in place -- drain loops hold local aliases to it.
-        """
-        queue = self._queue
-        width = self._bucket_width
-        if queue:
-            span = max(entry[0] for entry in queue) - self._now
-            if span > 0.0:
-                width = (span / len(queue)) * 8.0
-        cal = CalendarQueue(width=width)
-        cal._bulk_load(queue)
-        queue.clear()
-        self._cal = cal
-
-    def _downgrade_queue(self) -> None:
-        """Migrate the calendar back to the heap (auto mode, drained
-        below the crossover).  Mutates the heap list in place."""
-        cal = self._cal
-        queue = self._queue
-        queue.extend(cal._cur_list)
-        for bucket in cal._buckets.values():
-            queue.extend(bucket)
-        _heapify(queue)
-        self._cal = None
-
-    def _pop_next(self) -> "tuple[float, int, int, Event] | None":
-        """Remove and return the globally smallest entry, or ``None``.
-
-        The schedule is split across up to three levels (now bucket,
-        heap, calendar); each level yields its entries in sorted order,
-        so the global minimum is the smallest of the level fronts.  The
-        now bucket's front materializes as a 3-tuple -- sequence numbers
-        are unique, so comparisons against 4-tuple heap/calendar entries
-        are always decided by index <= 2 and never reach the length
-        tie-break.
-        """
-        fseq = self._fifo_seq
-        queue = self._queue
-        cal = self._cal
-        best = (self._now, 1, fseq[0]) if fseq else None
-        src = 0
-        if queue:
-            head = queue[0]
-            if best is None or head < best:
-                best = head
-                src = 1
-        if cal is not None:
-            front = cal.front
-            if front is not None and (best is None or front < best):
-                best = front
-                src = 2
-        if best is None:
-            return None
-        if src == 0:
-            seq = fseq.popleft()
-            return (self._now, 1, seq, self._fifo_ev.popleft())
-        if src == 1:
-            return _heappop(queue)
-        return cal.pop()
-
-    def _empty(self) -> bool:
-        return not (
-            self._fifo_seq
-            or self._queue
-            or (self._cal is not None and self._cal.front is not None)
-        )
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         # Now-bucket entries are by construction at the current time,
-        # which lower-bounds every other level.
+        # which lower-bounds every heap entry.
         if self._fifo_seq:
             return self._now
-        times = []
         if self._queue:
-            times.append(self._queue[0][0])
-        if self._cal is not None and self._cal.front is not None:
-            times.append(self._cal.front[0])
-        return min(times) if times else float("inf")
+            return self._queue[0][0]
+        return float("inf")
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -961,14 +517,21 @@ class Environment:
         handled (mirroring SimPy's "dead process" detection), so bugs do not
         silently vanish.
         """
-        entry = self._pop_next()
-        if entry is None:
+        fseq = self._fifo_seq
+        queue = self._queue
+        # The now bucket's front materializes as a 3-tuple: sequence
+        # numbers are unique, so the comparison against a 4-tuple heap
+        # entry is always decided by index <= 2.
+        if fseq and not (queue and queue[0] < (self._now, 1, fseq[0])):
+            when, priority, seq = self._now, 1, fseq.popleft()
+            event = self._fifo_ev.popleft()
+        elif queue:
+            when, priority, seq, event = _heappop(queue)
+            self._now = when
+        else:
             raise SimulationError("step() on an empty schedule")
-        when, _priority, _seq, event = entry
-        del entry  # drop the tuple's reference so the recycle guard sees 2
-        self._now = when
         if self._trace is not None:
-            self._trace(when, _priority, _seq, event)
+            self._trace(when, priority, seq, event)
         callbacks = event.callbacks
         event.callbacks = None
         event._state = _PROCESSED
@@ -977,16 +540,6 @@ class Environment:
         if not event._ok and not event._defused:
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-        pool = self._pool
-        if (
-            type(event) is Timeout
-            and len(pool) < _POOL_MAX
-            and _getrefcount(event) == 2
-        ):
-            callbacks.clear()
-            event.callbacks = callbacks
-            event._value = None
-            pool.append(event)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -999,15 +552,13 @@ class Environment:
         triggers (no process can fire it any more); that is reported as a
         :class:`SimulationError` rather than returning silently.
 
-        The body dispatches to one of three drain loops -- the inlined
-        heap+now-bucket fast path, the calendar-aware fast path, or the
-        generic :meth:`step` loop (trace hook installed or ``step``
-        overridden) -- and re-dispatches whenever auto mode migrates
-        between heap and calendar mid-run.  All loops pop the exact same
+        A time (or ``None``) drains through the inlined :meth:`_drain`
+        loop.  A trace hook, an overridden ``step`` or a stop event use
+        the generic :meth:`step` loop instead.  Both pop the exact same
         global ``(time, priority, seq)`` order.
         """
         stop: Event | None = None
-        horizon: float | None = None
+        horizon = float("inf")
         if isinstance(until, Event):
             stop = until
         elif until is not None:
@@ -1016,26 +567,19 @@ class Environment:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self._now})"
                 )
-        # When step() is not overridden and no trace hook is installed,
-        # inline the step body into the drain loops: one Python method
-        # call per event is measurable at the millions-of-events scale
-        # of a deployment run.  The inlined bodies are identical to
-        # step() minus the empty-schedule guard (the loop conditions
-        # establish it) and the trace call (absent by construction).
-        can_inline = type(self).step is Environment.step and self._trace is None
-        while True:
-            if not can_inline:
-                done = self._step_drain(stop, horizon)
-            elif self._cal is not None:
-                done = self._drain_cal(stop, horizon)
-            elif stop is not None:
-                done = self._inline_event(stop)
-            elif horizon is not None:
-                done = self._inline_until(horizon)
-            else:
-                done = self._inline_all()
-            if done:
-                break
+        inline = type(self).step is Environment.step and self._trace is None
+        if inline and stop is None:
+            self._drain(horizon)
+        else:
+            step = self.step
+            fseq = self._fifo_seq
+            queue = self._queue
+            while fseq or queue:
+                if stop is not None and stop._state == _PROCESSED:
+                    break
+                if not fseq and queue[0][0] > horizon:
+                    break
+                step()
         if stop is not None:
             if stop._state == _PENDING:
                 raise SimulationError(
@@ -1044,28 +588,28 @@ class Environment:
             if not stop._ok:
                 raise stop._value
             return stop._value
-        if horizon is not None:
+        if until is not None:
             self._now = horizon
         return None
 
-    # -- drain loops -------------------------------------------------------
-    # Each returns True when its stop condition was reached (schedule
-    # drained / horizon passed / stop event processed) and False when the
-    # queue structure flipped (auto-mode migration) and run() must
-    # re-dispatch.  The three _inline_* variants duplicate one loop body
-    # on purpose: hoisting the per-variant condition into a shared loop
-    # costs a per-event check on the hottest path in the repository.
+    def _drain(self, horizon: float) -> None:
+        """Process every event up to ``horizon``: :meth:`step` inlined.
 
-    def _inline_all(self) -> bool:
+        One Python method call per event is measurable at the
+        millions-of-events scale of a deployment run, so the body is
+        :meth:`step` minus the empty-schedule guard (the loop condition
+        establishes it) and the trace call (absent by construction).
+        """
         queue = self._queue
         fseq = self._fifo_seq
         fev = self._fifo_ev
         fseq_pop = fseq.popleft
         fev_pop = fev.popleft
-        pool = self._pool
-        cal_up = self._cal_up
         now = self._now
-        while fseq or queue:
+        # Now-bucket entries are always at the current time, which never
+        # exceeds an un-reached horizon, so only the heap front needs the
+        # horizon comparison.
+        while fseq or (queue and queue[0][0] <= horizon):
             if fseq:
                 if queue:
                     head = queue[0]
@@ -1075,8 +619,7 @@ class Environment:
                     if head[0] == now and (
                         head[1] == 0 or (head[1] == 1 and head[2] < fseq[0])
                     ):
-                        _w, _p, _s, event = _heappop(queue)
-                        head = None  # drop the tuple ref for the recycle guard
+                        event = _heappop(queue)[3]
                     else:
                         fseq_pop()
                         event = fev_pop()
@@ -1096,216 +639,3 @@ class Environment:
                 raise exc if isinstance(exc, BaseException) else (
                     SimulationError(repr(exc))
                 )
-            if (
-                type(event) is Timeout
-                and len(pool) < _POOL_MAX
-                and _getrefcount(event) == 2
-            ):
-                # Nothing else references this timeout: recycle it (and
-                # its callbacks list) into the freelist.  It keeps the
-                # _PROCESSED state, so stale triggers raise; reuse
-                # revalidates and bumps the generation counter.
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._value = None
-                pool.append(event)
-            if len(queue) > cal_up:
-                self._upgrade_queue()
-                return False
-        return True
-
-    def _inline_until(self, horizon: float) -> bool:
-        queue = self._queue
-        fseq = self._fifo_seq
-        fev = self._fifo_ev
-        fseq_pop = fseq.popleft
-        fev_pop = fev.popleft
-        pool = self._pool
-        cal_up = self._cal_up
-        now = self._now
-        # Now-bucket entries are always at the current time, which never
-        # exceeds an un-reached horizon, so only the heap front needs the
-        # horizon comparison.
-        while fseq or (queue and queue[0][0] <= horizon):
-            if fseq:
-                if queue:
-                    head = queue[0]
-                    if head[0] == now and (
-                        head[1] == 0 or (head[1] == 1 and head[2] < fseq[0])
-                    ):
-                        _w, _p, _s, event = _heappop(queue)
-                        head = None
-                    else:
-                        fseq_pop()
-                        event = fev_pop()
-                else:
-                    fseq_pop()
-                    event = fev_pop()
-            else:
-                when, _p, _s, event = _heappop(queue)
-                self._now = now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._state = _PROCESSED
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                exc = event._value
-                raise exc if isinstance(exc, BaseException) else (
-                    SimulationError(repr(exc))
-                )
-            if (
-                type(event) is Timeout
-                and len(pool) < _POOL_MAX
-                and _getrefcount(event) == 2
-            ):
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._value = None
-                pool.append(event)
-            if len(queue) > cal_up:
-                self._upgrade_queue()
-                return False
-        return True
-
-    def _inline_event(self, stop: Event) -> bool:
-        queue = self._queue
-        fseq = self._fifo_seq
-        fev = self._fifo_ev
-        fseq_pop = fseq.popleft
-        fev_pop = fev.popleft
-        pool = self._pool
-        cal_up = self._cal_up
-        now = self._now
-        while stop._state != _PROCESSED and (fseq or queue):
-            if fseq:
-                if queue:
-                    head = queue[0]
-                    if head[0] == now and (
-                        head[1] == 0 or (head[1] == 1 and head[2] < fseq[0])
-                    ):
-                        _w, _p, _s, event = _heappop(queue)
-                        head = None
-                    else:
-                        fseq_pop()
-                        event = fev_pop()
-                else:
-                    fseq_pop()
-                    event = fev_pop()
-            else:
-                when, _p, _s, event = _heappop(queue)
-                self._now = now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._state = _PROCESSED
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                exc = event._value
-                raise exc if isinstance(exc, BaseException) else (
-                    SimulationError(repr(exc))
-                )
-            if (
-                type(event) is Timeout
-                and len(pool) < _POOL_MAX
-                and _getrefcount(event) == 2
-            ):
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._value = None
-                pool.append(event)
-            if len(queue) > cal_up:
-                self._upgrade_queue()
-                return False
-        return True
-
-    def _drain_cal(self, stop: Event | None, horizon: float | None) -> bool:
-        """Calendar-active fast path: inlined three-level pop + step body.
-
-        Used for both the fixed ``queue="calendar"`` mode and the
-        post-upgrade phase of auto mode (where it also watches for the
-        downgrade threshold).  One loop serves all three ``until``
-        variants -- the per-event cost of the two extra checks is noise
-        next to the calendar pop itself.
-        """
-        queue = self._queue
-        fseq = self._fifo_seq
-        fev = self._fifo_ev
-        fseq_pop = fseq.popleft
-        fev_pop = fev.popleft
-        pool = self._pool
-        cal = self._cal
-        cal_down = self._cal_down
-        while stop is None or stop._state != _PROCESSED:
-            best = (self._now, 1, fseq[0]) if fseq else None
-            src = 0
-            if queue:
-                head = queue[0]
-                if best is None or head < best:
-                    best = head
-                    src = 1
-            front = cal.front
-            if front is not None and (best is None or front < best):
-                best = front
-                src = 2
-            if best is None:
-                return True
-            if horizon is not None and best[0] > horizon:
-                return True
-            if src == 0:
-                fseq_pop()
-                event = fev_pop()
-            elif src == 1:
-                when, _p, _s, event = _heappop(queue)
-                self._now = when
-            else:
-                when, _p, _s, event = cal.pop()
-                self._now = when
-            # Release entry refs so the recycle guard sees the true count.
-            best = head = front = None
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._state = _PROCESSED
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                exc = event._value
-                raise exc if isinstance(exc, BaseException) else (
-                    SimulationError(repr(exc))
-                )
-            if (
-                type(event) is Timeout
-                and len(pool) < _POOL_MAX
-                and _getrefcount(event) == 2
-            ):
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._value = None
-                pool.append(event)
-            if cal._len < cal_down:
-                self._downgrade_queue()
-                return False
-        return True
-
-    def _step_drain(self, stop: Event | None, horizon: float | None) -> bool:
-        """Generic drain via :meth:`step` -- trace hook installed or
-        ``step`` overridden.  Still performs auto-mode migrations."""
-        step = self.step
-        cal_up = self._cal_up
-        cal_down = self._cal_down
-        while True:
-            if stop is not None and stop._state == _PROCESSED:
-                return True
-            if self._empty():
-                return True
-            if horizon is not None and self.peek() > horizon:
-                return True
-            step()
-            cal = self._cal
-            if cal is None:
-                if len(self._queue) > cal_up:
-                    self._upgrade_queue()
-                    return False
-            elif cal._len < cal_down:
-                self._downgrade_queue()
-                return False

@@ -220,6 +220,43 @@ def test_interrupt_finished_process_rejected():
         proc.interrupt()
 
 
+def test_child_can_interrupt_parent_waiting_on_it():
+    # The parent's wait target is the child, which is the active process
+    # when it calls interrupt(): that is not a self-interrupt.
+    env = Environment()
+    log = []
+
+    def child(env, parent):
+        yield env.timeout(3)
+        parent[0].interrupt(cause="from child")
+        yield env.timeout(10)
+
+    def parent_proc(env, parent):
+        try:
+            yield env.process(child(env, parent))
+        except Interrupt as intr:
+            log.append((env.now, intr.cause))
+
+    parent = []
+    parent.append(env.process(parent_proc(env, parent)))
+    env.run()
+    assert log == [(3.0, "from child")]
+
+
+def test_self_interrupt_rejected():
+    env = Environment()
+    me = []
+
+    def proc(env):
+        yield env.timeout(1)
+        me[0].interrupt(cause="me")
+        yield env.timeout(1)
+
+    me.append(env.process(proc(env)))
+    with pytest.raises(SimulationError, match="cannot interrupt itself"):
+        env.run()
+
+
 def test_interrupted_process_can_continue():
     env = Environment()
     log = []

@@ -1,21 +1,13 @@
-"""Timeout freelist: reuse accounting, refcount guard, corruption checks.
+"""Timeout churn: long runs of timeouts keep their values and checks.
 
-The engine recycles processed :class:`Timeout` objects through a
-per-environment freelist (``engine.py``).  These tests pin the safety
-contract around that optimization:
-
-* recycling actually happens (the allocation probe's reuse counters are
-  the perf gate; here we check the mechanism, not the rate);
-* a timeout the simulation still *holds* is never recycled -- the
-  refcount guard keeps live handles out of the pool;
-* a stale handle that mutates a pooled timeout is detected loudly at
-  reuse time instead of corrupting the schedule;
-* the generation counter distinguishes reuses of the same object.
+Every :class:`Timeout` is a fresh object pushed onto the engine's heap.
+These tests pin that heavy timeout churn changes neither the input
+checking nor the values and times a process observes.
 """
 
 import pytest
 
-from repro.sim.engine import Environment, SimulationError, Timeout
+from repro.sim.engine import Environment, SimulationError
 
 
 def _spin(env: Environment, rounds: int) -> None:
@@ -27,76 +19,20 @@ def _spin(env: Environment, rounds: int) -> None:
     env.run()
 
 
-def test_pool_reuses_processed_timeouts():
-    env = Environment()
-    _spin(env, rounds=50)
-    stats = env.timeout_pool_stats()
-    assert stats["reuses"] > 0
-    # Steady-state: one looper needs one in-flight timeout, so after the
-    # first allocation every subsequent round is served from the pool.
-    assert stats["allocs"] <= 2
-    assert stats["allocs"] + stats["reuses"] == 50
-
-
-def test_pool_stats_shape():
-    env = Environment()
-    stats = env.timeout_pool_stats()
-    assert stats == {"allocs": 0, "reuses": 0, "pooled": 0}
-
-
-def test_held_timeout_is_not_recycled():
-    """A handle the test still references must stay out of the pool."""
-    env = Environment()
-    held: list[Timeout] = []
-
-    def holder(env):
-        t = env.timeout(0.1)
-        held.append(t)  # external reference outlives processing
-        yield t
-        yield env.timeout(0.1)
-
-    env.process(holder(env))
-    env.run()
-    assert held[0].processed
-    # The held timeout was not pooled, so a fresh timeout is either a
-    # new allocation or a recycle of some *other* object.
-    fresh = env.timeout(1.0)
-    assert fresh is not held[0]
-
-
-def test_generation_counter_increments_on_reuse():
-    env = Environment()
-    _spin(env, rounds=10)
-    assert env.timeout_pool_stats()["pooled"] >= 1
-    recycled = env.timeout(0.5)
-    assert recycled._gen >= 1
-
-
-def test_stale_mutation_is_detected_at_reuse():
-    """Corrupting a pooled timeout raises at the next reuse."""
-    env = Environment()
-    _spin(env, rounds=10)
-    assert env.timeout_pool_stats()["pooled"] >= 1
-    # Simulate a buggy caller mutating a recycled handle it should have
-    # forgotten: resurrect the pooled object's callbacks list.
-    pooled = env._pool[-1]
-    pooled.callbacks.append(lambda event: None)
-    with pytest.raises(SimulationError, match="freelist corrupted"):
-        env.timeout(0.5)
-
-
 def test_negative_delay_rejected_on_both_paths():
+    """Both constructors reject a time before now, before and after churn."""
     env = Environment()
     with pytest.raises(SimulationError, match="negative timeout delay"):
-        env.timeout(-1.0)  # fresh-allocation path
+        env.timeout(-1.0)
     _spin(env, rounds=10)
-    assert env.timeout_pool_stats()["pooled"] >= 1
     with pytest.raises(SimulationError, match="negative timeout delay"):
-        env.timeout(-1.0)  # pool-reuse path
+        env.timeout(-1.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        env.timeout_at(env.now - 1.0)
 
 
 def test_recycled_runs_match_fresh_runs():
-    """Pooling is invisible to results: values and times are unchanged."""
+    """Values and times survive a long timeout chain unchanged."""
     env = Environment()
     observed: list[tuple[float, object]] = []
 

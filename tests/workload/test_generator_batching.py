@@ -47,8 +47,12 @@ class RecordingApp:
         return None, done
 
 
-def _run(pattern, batch_candidates, until=200.0, queue="heap", **gen_kwargs):
-    env = Environment(queue=queue)
+def _run(pattern, batch_candidates, until=200.0, background_timers=0, **gen_kwargs):
+    env = Environment()
+    # Far-future timers that never fire before ``until``: they only widen
+    # the pending set the generator's wake-ups are ordered against.
+    for i in range(background_timers):
+        env.timeout(1e6 + i)
     app = RecordingApp(env, complete_after=gen_kwargs.pop("complete_after", None))
     generator = LoadGenerator(
         app,
@@ -77,11 +81,14 @@ def test_batched_arrivals_bit_identical_to_per_candidate(pattern):
 
 
 def test_batched_arrivals_identical_on_calendar_queue():
+    """Arrivals are unchanged by a pending set wider than the old calendar
+    threshold (8,192 events); the engine now orders it all on one heap."""
     pattern = ConstantLoad(30.0)
-    heap, _ = _run(pattern, batch_candidates=256, queue="heap")
-    calendar, _ = _run(pattern, batch_candidates=256, queue="calendar")
-    legacy, _ = _run(pattern, batch_candidates=1, queue="calendar")
-    assert heap == calendar == legacy
+    plain, _ = _run(pattern, batch_candidates=256)
+    wide, _ = _run(pattern, batch_candidates=256, background_timers=10_000)
+    legacy, _ = _run(pattern, batch_candidates=1, background_timers=10_000)
+    assert plain == wide == legacy
+    assert plain  # non-trivial run
 
 
 def test_shedding_matches_under_max_outstanding():
