@@ -12,6 +12,11 @@ scheduling hot paths without any application logic:
 * ``resource_contention`` -- processes cycling acquire/hold/release on a
   shared :class:`Resource`; stresses the waiter heap and request events.
 
+A ``traced`` probe (outside the composite) re-runs the composite
+workloads with a :class:`~repro.sim.trace.RunDigest` installed -- the
+per-event cost every digest-checked experiment and fleet cell pays -- and
+reports its events/second under the ``traced`` key.
+
 A ``slo_monitor_churn`` probe (also outside the composite) drives the
 application completion hook with a deterministic latency pattern, SLO
 monitor attached vs detached, to bound the observer overhead of
@@ -52,10 +57,15 @@ import tracemalloc
 # (see docs/performance.md and repro.analysis.policy).
 import time
 from pathlib import Path
+from typing import Callable
 
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource, Store
+from repro.sim.trace import RunDigest
 from repro.telemetry.slo import SLOMonitor, SLOSpec
+
+#: An engine trace hook, as ``Environment(trace=...)`` takes it.
+TraceHook = Callable[[float, int, int, Event], None]
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 OUTPUT = REPO_ROOT / "BENCH_engine.json"
@@ -92,8 +102,10 @@ SMOKE_KWARGS: dict[str, dict[str, int]] = {
 }
 
 
-def timeout_churn(n_procs: int = 50, iterations: int = 2_000) -> Environment:
-    env = Environment()
+def timeout_churn(
+    n_procs: int = 50, iterations: int = 2_000, trace: TraceHook | None = None
+) -> Environment:
+    env = Environment(trace=trace)
 
     def looper(env: Environment, delay: float) -> object:
         for _ in range(iterations):
@@ -105,8 +117,10 @@ def timeout_churn(n_procs: int = 50, iterations: int = 2_000) -> Environment:
     return env
 
 
-def event_pingpong(n_pairs: int = 25, iterations: int = 2_000) -> Environment:
-    env = Environment()
+def event_pingpong(
+    n_pairs: int = 25, iterations: int = 2_000, trace: TraceHook | None = None
+) -> Environment:
+    env = Environment(trace=trace)
 
     def pinger(env: Environment, inbox: list, peer_inbox: list) -> object:
         for _ in range(iterations):
@@ -129,9 +143,12 @@ def event_pingpong(n_pairs: int = 25, iterations: int = 2_000) -> Environment:
 
 
 def resource_contention(
-    n_procs: int = 40, capacity: int = 8, iterations: int = 1_000
+    n_procs: int = 40,
+    capacity: int = 8,
+    iterations: int = 1_000,
+    trace: TraceHook | None = None,
 ) -> Environment:
-    env = Environment()
+    env = Environment(trace=trace)
     resource = Resource(env, capacity=capacity)
 
     def worker(env: Environment, resource: Resource, priority: int) -> object:
@@ -148,8 +165,10 @@ def resource_contention(
     return env
 
 
-def store_handoff(n_pairs: int = 20, iterations: int = 1_000) -> Environment:
-    env = Environment()
+def store_handoff(
+    n_pairs: int = 20, iterations: int = 1_000, trace: TraceHook | None = None
+) -> Environment:
+    env = Environment(trace=trace)
     store = Store(env, capacity=16)
 
     def producer(env: Environment, store: Store) -> object:
@@ -262,8 +281,13 @@ def measure_allocations(
 def run_benchmark(
     repeats: int = 3,
     kwargs_by_name: dict[str, dict[str, int]] | None = None,
+    trace_factory: Callable[[], TraceHook] | None = None,
 ) -> dict:
-    """Best-of-``repeats`` events/sec per workload plus a composite."""
+    """Best-of-``repeats`` events/sec per workload plus a composite.
+
+    With ``trace_factory``, every run installs a fresh hook from it (the
+    traced probe passes :class:`RunDigest`, what digest-checked runs pay).
+    """
     overrides = kwargs_by_name or {}
     results: dict[str, dict[str, float]] = {}
     total_events = 0
@@ -274,6 +298,8 @@ def run_benchmark(
         best_events = 0
         best_elapsed = float("inf")
         for _ in range(repeats):
+            if trace_factory is not None:
+                kwargs = {**kwargs, "trace": trace_factory()}
             start = time.perf_counter()
             env = workload(**kwargs)
             elapsed = time.perf_counter() - start
@@ -308,6 +334,9 @@ def main() -> int:
         # CI smoke: execute every benchmark code path on tiny budgets and
         # never write BENCH_engine.json (the numbers are meaningless).
         current = run_benchmark(repeats=repeats, kwargs_by_name=SMOKE_KWARGS)
+        traced = run_benchmark(
+            repeats=repeats, kwargs_by_name=SMOKE_KWARGS, trace_factory=RunDigest
+        )
         slo_probe = bench_slo_monitor(repeats=repeats, n_requests=2_000)
         allocations = measure_allocations(SMOKE_KWARGS)
         print(
@@ -315,6 +344,7 @@ def main() -> int:
                 {
                     "smoke": True,
                     "composite_events": current["composite"]["events"],
+                    "traced_composite_events": traced["composite"]["events"],
                     "slo_probe_completions": slo_probe["completions"],
                     "allocations": allocations,
                 },
@@ -329,9 +359,11 @@ def main() -> int:
         "baseline_events_per_sec": RECORDED_BASELINE,
         "baseline_bytes_per_event": RECORDED_ALLOC_BASELINE,
         "current": current,
-        # Not part of the composite: the SLO probe and the allocation
-        # probe are separate experiments (different instrumentation), so
-        # the composite trend stays comparable across PRs.
+        # Not part of the composite: the traced probe, the SLO probe and
+        # the allocation probe are separate experiments (different
+        # instrumentation), so the composite trend stays comparable
+        # across PRs.
+        "traced": run_benchmark(repeats=repeats, trace_factory=RunDigest),
         "slo_monitor": bench_slo_monitor(repeats=repeats),
         "allocations": measure_allocations(),
         "speedup_vs_baseline": {

@@ -40,6 +40,7 @@ METRICS = [
     ),
     ("BENCH_engine.json", ("current", "store_handoff", "events_per_sec"), "higher"),
     ("BENCH_engine.json", ("current", "composite", "events_per_sec"), "higher"),
+    ("BENCH_engine.json", ("traced", "composite", "events_per_sec"), "higher"),
     (
         "BENCH_runner.json",
         ("deployment", "sim_seconds_per_wall_second"),

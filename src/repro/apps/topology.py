@@ -181,7 +181,11 @@ class Application:
         self.spec = spec
         self.env = env if env is not None else Environment()
         self.cluster = cluster if cluster is not None else Cluster(self.env)
-        self.hub = hub if hub is not None else MetricsHub(lambda: self.env.now)
+        if hub is None:
+            env = self.env
+            # Reads the clock slot directly: the hub reads it on every write.
+            hub = MetricsHub(lambda: env._now)
+        self.hub = hub
         self.streams = streams if streams is not None else RandomStreams(seed=0)
         self.services: dict[str, Microservice] = {}
         for svc_spec in spec.services:

@@ -445,7 +445,7 @@ def run_deployment(
     if options.slo is not None:
         env = app.env
         slo_monitor = options.slo.build_monitor(
-            spec, clock=lambda: env.now, hub=app.hub
+            spec, clock=lambda: env._now, hub=app.hub
         )
         slo_monitor.attach(app)
     app.env.run(until=10)

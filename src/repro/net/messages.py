@@ -22,7 +22,7 @@ SLAs for e.g. ``object-detect`` refer to).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import TopologyError
 
@@ -35,6 +35,14 @@ class CallMode(enum.Enum):
     MQ = "mq"
 
 
+#: Derived per-mode child tuples of :class:`Call`, by mode.
+_CHILDREN_BY_MODE = (
+    (CallMode.MQ, "mq_children"),
+    (CallMode.RPC, "rpc_children"),
+    (CallMode.EVENT, "event_children"),
+)
+
+
 @dataclass(frozen=True)
 class Call:
     """One node of a request class's call tree.
@@ -42,19 +50,36 @@ class Call:
     ``repeat`` models a service accessed multiple times by its parent; the
     accesses happen sequentially and their latencies accumulate (§IV treats
     the cumulative latency as the latency of that service).
+
+    ``mq_children``, ``rpc_children`` and ``event_children`` are derived
+    at construction (not constructor arguments): the children of each
+    mode in tree order, each repeated ``repeat`` times -- the order a
+    hop invokes them in, so the runtime never rescans ``children``.
     """
 
     service: str
     mode: CallMode = CallMode.RPC
     children: tuple["Call", ...] = ()
     repeat: int = 1
+    mq_children: tuple["Call", ...] = field(init=False, repr=False, compare=False)
+    rpc_children: tuple["Call", ...] = field(init=False, repr=False, compare=False)
+    event_children: tuple["Call", ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.service:
             raise TopologyError("call must name a service")
         if self.repeat < 1:
             raise TopologyError(f"repeat must be >= 1, got {self.repeat}")
-        object.__setattr__(self, "children", tuple(self.children))
+        children = tuple(self.children)
+        object.__setattr__(self, "children", children)
+        for mode, attr in _CHILDREN_BY_MODE:
+            expanded = tuple(
+                child
+                for child in children
+                if child.mode is mode
+                for _ in range(child.repeat)
+            )
+            object.__setattr__(self, attr, expanded)
 
     def services(self) -> list[str]:
         """All service names in this subtree, preorder, with duplicates."""

@@ -43,9 +43,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.net.messages import Call, CallMode, Request
+from repro.net.messages import Call, Request
 from repro.net.mq import MessageQueue
-from repro.sim.engine import AnyOf, Environment, Event
+from repro.sim.engine import AnyOf, Environment, Event, Process
 from repro.sim.resources import Resource
 from repro.telemetry.metrics import CounterHandle, LatencyHandle, MetricsHub
 from repro.telemetry.tracing import PHASE_DOWNSTREAM, PHASE_QUEUE, PHASE_SERVICE, Span
@@ -243,9 +243,10 @@ class Microservice:
             raise TopologyError(
                 f"call for {call.service!r} submitted to {self.name!r}"
             )
-        response = self.env.event()
-        done = self.env.event()
-        self.env.process(self._execute(request, call, response, done, span=span))
+        env = self.env
+        response = Event(env)
+        done = Event(env)
+        Process(env, self._execute(request, call, response, done, span=span))
         return response, done
 
     def publish(
@@ -262,10 +263,9 @@ class Microservice:
             raise TopologyError(
                 f"call for {call.service!r} published to {self.name!r}"
             )
-        done = self.env.event()
-        self.queue.publish(
-            (request, call, done, self.env.now, span), priority=request.priority
-        )
+        env = self.env
+        done = Event(env)
+        self.queue.publish((request, call, done, env._now, span), priority=request.priority)
         handle = self._mq_handles.get(request.request_class)
         if handle is None:
             handle = self._mq_handles[request.request_class] = self.hub.counter_handle(
@@ -351,13 +351,19 @@ class Microservice:
         that interval to the child's span).
         """
         env = self.env
-        t_submit = publish_time if publish_time is not None else env.now
+        t_submit = publish_time if publish_time is not None else env._now
         requests_total, service_latency_h = self._request_handles(
             request.request_class
         )
         requests_total.inc()
         if replica is None:
-            replica = yield from self._pick_replica()
+            running = self._running
+            if running:
+                # _pick_replica's round robin, inlined for the common case.
+                self._rr = rr = self._rr + 1
+                replica = running[rr % len(running)]
+            else:
+                replica = yield from self._pick_replica()
             replica.inflight += 1
             # The thread slot is released mid-protocol (after the RPC legs,
             # before the daemon leg) rather than in a finally: holding it
@@ -366,7 +372,7 @@ class Microservice:
             yield replica.threads.acquire(priority=request.priority)
         if span is not None:
             span.replica = replica.pod.name
-            mark = env.now
+            mark = env._now
             span.record(PHASE_QUEUE, t_submit, mark)
 
         # Local processing: occupy one core for the sampled work.
@@ -374,16 +380,16 @@ class Microservice:
         ptime = work / self.speed_factor
         yield replica.cpu.acquire(priority=request.priority)
         if span is not None:
-            span.record(PHASE_QUEUE, mark, env.now)
-            mark = env.now
+            span.record(PHASE_QUEUE, mark, env._now)
+            mark = env._now
         try:
             yield env.timeout(ptime)
         finally:
             replica.cpu.release()
         replica.busy_time += ptime
         if span is not None:
-            span.record(PHASE_SERVICE, mark, env.now)
-            mark = env.now
+            span.record(PHASE_SERVICE, mark, env._now)
+            mark = env._now
 
         child_dones: list[Event] = []
         downstream_wait = 0.0
@@ -391,97 +397,88 @@ class Microservice:
         # Fire-and-forget MQ children first: publishing never blocks, so
         # the parent records no segment; the child span's queue phase
         # covers the message's whole queue residency.
-        for child in call.children:
-            if child.mode == CallMode.MQ:
-                for _ in range(child.repeat):
-                    child_span = (
-                        span.new_child(child.service, "mq", env.now)
-                        if span is not None
-                        else None
-                    )
-                    child_dones.append(
-                        self._peer(child.service).publish(
-                            request, child, span=child_span
-                        )
-                    )
+        for child in call.mq_children:
+            child_span = (
+                span.new_child(child.service, "mq", env._now)
+                if span is not None
+                else None
+            )
+            child_dones.append(
+                self._peer(child.service).publish(request, child, span=child_span)
+            )
 
         # Nested RPC children: sequential, holding this service's thread.
-        for child in call.children:
-            if child.mode == CallMode.RPC:
-                for _ in range(child.repeat):
-                    t0 = env.now
-                    child_span = (
-                        span.new_child(child.service, "rpc", t0)
-                        if span is not None
-                        else None
-                    )
-                    child_response, child_done = self._peer(child.service).submit(
-                        request, child, span=child_span
-                    )
-                    yield child_response
-                    downstream_wait += env.now - t0
-                    child_dones.append(child_done)
-                    if span is not None:
-                        span.record(PHASE_DOWNSTREAM, t0, env.now, child_span)
-                        mark = env.now
+        for child in call.rpc_children:
+            t0 = env._now
+            child_span = (
+                span.new_child(child.service, "rpc", t0) if span is not None else None
+            )
+            child_response, child_done = self._peer(child.service).submit(
+                request, child, span=child_span
+            )
+            yield child_response
+            downstream_wait += env._now - t0
+            child_dones.append(child_done)
+            if span is not None:
+                span.record(PHASE_DOWNSTREAM, t0, env._now, child_span)
+                mark = env._now
 
-        event_children = [c for c in call.children if c.mode == CallMode.EVENT]
-        daemon_held = False
+        event_children = call.event_children
         if event_children:
             # Hand off to a daemon thread; dispatch blocks (holding the
             # worker thread) when the daemon pool is exhausted -- the
             # event-driven backpressure path.
             # ursalint: transfers=replica.daemons -- released after the event-driven leg
             yield replica.daemons.acquire(priority=request.priority)
-            daemon_held = True
             if span is not None:
-                span.record(PHASE_QUEUE, mark, env.now)
-                mark = env.now
+                span.record(PHASE_QUEUE, mark, env._now)
+                mark = env._now
 
         replica.threads.release()
         if self.network_delay_s > 0:
             # Both network legs (request + response) in one event.
             yield env.timeout(2.0 * self.network_delay_s)
-        service_latency = env.now - t_submit - downstream_wait
+        service_latency = env._now - t_submit - downstream_wait
         service_latency_h.record(service_latency)
         if self.completion_listeners:
             for listener in self.completion_listeners:
                 listener(request, request.request_class, service_latency)
         if span is not None:
-            span.record(PHASE_SERVICE, mark, env.now)
-            mark = env.now
-            span.response_end = env.now
+            span.record(PHASE_SERVICE, mark, env._now)
+            mark = env._now
+            span.response_end = env._now
         response.succeed()
 
-        if daemon_held:
+        if event_children:
             # Daemon leg: perform the event-driven calls, waiting for each
             # downstream response (the R1 step of Fig. 1(b)).
             for child in event_children:
-                for _ in range(child.repeat):
-                    t0 = env.now
-                    child_span = (
-                        span.new_child(child.service, "event", t0)
-                        if span is not None
-                        else None
-                    )
-                    child_response, child_done = self._peer(child.service).submit(
-                        request, child, span=child_span
-                    )
-                    yield child_response
-                    child_dones.append(child_done)
-                    if span is not None:
-                        span.record(PHASE_DOWNSTREAM, t0, env.now, child_span)
-                        mark = env.now
+                t0 = env._now
+                child_span = (
+                    span.new_child(child.service, "event", t0)
+                    if span is not None
+                    else None
+                )
+                child_response, child_done = self._peer(child.service).submit(
+                    request, child, span=child_span
+                )
+                yield child_response
+                child_dones.append(child_done)
+                if span is not None:
+                    span.record(PHASE_DOWNSTREAM, t0, env._now, child_span)
+                    mark = env._now
             replica.daemons.release()
 
         replica.inflight -= 1
         self._maybe_drained(replica)
 
-        pending = [ev for ev in child_dones if not ev.processed]
-        if pending:
-            yield env.all_of(pending)
+        if child_dones:
+            # A processed event has handed out its callbacks (None).
+            pending = [ev for ev in child_dones if ev.callbacks is not None]
+            if pending:
+                yield env.all_of(pending)
         if span is not None:
-            span.end = env.now
+            span.end = env._now
         done.succeed()
 
     def _consumer_loop(self, replica: Replica):

@@ -41,10 +41,10 @@ Each pop takes the smaller of the two fronts, so the global order is the
 exact ``(time, priority, seq)`` order.  Deployments keep a few dozen
 events pending at most, where heapq's C sift is as cheap as a queue can
 be (docs/performance.md).  :meth:`Environment.run` drains the schedule
-with one inlined loop (:meth:`Environment._drain`), or with a
-:meth:`Environment.step` loop when a trace hook is installed, ``step`` is
-overridden, or the run stops on an event.  Both pop the same order; the
-same-seed byte-identical trace regression in
+with one inlined loop (:meth:`Environment._drain`), traced or not: a
+trace hook is called inline from it.  Only an overridden ``step`` or a
+run that stops on an event use a :meth:`Environment.step` loop.  Both
+pop the same order; the same-seed byte-identical trace regression in
 ``tests/sim/test_determinism.py`` and the drain-loop equivalence suite in
 ``tests/sim/test_drain_equivalence.py`` pin the contract.  Benchmarked by
 ``benchmarks/perf/bench_engine.py`` (results in ``BENCH_engine.json``).
@@ -55,6 +55,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Generator, Iterable
 from heapq import heappop as _heappop, heappush as _heappush
+from types import FunctionType
 from typing import Any, Callable
 
 __all__ = [
@@ -185,8 +186,13 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        # ``not >=`` also rejects NaN, which would corrupt the heap order.
+        if not delay >= 0:
+            raise SimulationError(
+                f"negative timeout delay: {delay}"
+                if delay < 0
+                else f"NaN timeout delay: {delay}"
+            )
         # Inlined Event.__init__ plus scheduling: timeouts are by far the
         # most frequently created event, so the constructor chain matters.
         self.env = env
@@ -285,24 +291,34 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "_send", "_throw", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
-        self._generator = generator
-        self._target: Event | None = None
         # Bound methods are cached once: creating them per resume/wait is
         # a measurable cost at millions of events per run.
-        self._send = generator.send
-        self._throw = generator.throw
-        self._resume_cb = self._resume
+        try:
+            self._send = generator.send
+            self._throw = generator.throw
+        except AttributeError:
+            raise SimulationError(f"{generator!r} is not a generator") from None
+        # Event.__init__ inlined: one process starts per service hop.
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = _PENDING
+        self._defused = False
+        self._generator = generator
+        self._target: Event | None = None
+        self._resume_cb = resume = self._resume
         # Bootstrap: resume the process at the current time.
-        init = Event(env)
+        init = Event.__new__(Event)
+        init.env = env
+        init.callbacks = [resume]
+        init._value = None
         init._ok = True
         init._state = _TRIGGERED
+        init._defused = False
         env._seq = seq = env._seq + 1
         env._fseq_app(seq)
         env._fev_app(init)
-        init.callbacks.append(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -429,10 +445,10 @@ class Environment:
         self._active_process: Process | None = None
         #: Optional event-trace hook: called as ``trace(when, priority,
         #: seq, event)`` for every event popped off the schedule, *before*
-        #: its callbacks run.  ``None`` (the default) keeps the inlined
-        #: drain loop in :meth:`run` -- tracing off costs nothing on the
-        #: hot path.  See :mod:`repro.sim.trace` for ready-made hooks
-        #: (event recorders, run digests).
+        #: its callbacks run.  ``None`` (the default) costs one ``is not
+        #: None`` check per event in :meth:`_drain`.  See
+        #: :mod:`repro.sim.trace` for ready-made hooks (event recorders,
+        #: run digests).
         self._trace = trace
 
     @property
@@ -469,8 +485,10 @@ class Environment:
         precomputed times bit-for-bit.
         """
         now = self._now
-        if when < now:
-            raise SimulationError(f"timeout_at({when}) is in the past (now={now})")
+        if not when >= now:  # also rejects NaN
+            raise SimulationError(
+                f"timeout_at({when}) is in the past or NaN (now={now})"
+            )
         timeout = Timeout.__new__(Timeout)
         timeout.env = self
         timeout.callbacks = []
@@ -553,7 +571,7 @@ class Environment:
         :class:`SimulationError` rather than returning silently.
 
         A time (or ``None``) drains through the inlined :meth:`_drain`
-        loop.  A trace hook, an overridden ``step`` or a stop event use
+        loop, traced or not.  An overridden ``step`` or a stop event use
         the generic :meth:`step` loop instead.  Both pop the exact same
         global ``(time, priority, seq)`` order.
         """
@@ -563,12 +581,11 @@ class Environment:
             stop = until
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
+            if not horizon >= self._now:  # also rejects NaN
                 raise SimulationError(
-                    f"run(until={horizon}) is in the past (now={self._now})"
+                    f"run(until={horizon}) is in the past or NaN (now={self._now})"
                 )
-        inline = type(self).step is Environment.step and self._trace is None
-        if inline and stop is None:
+        if stop is None and type(self).step is Environment.step:
             self._drain(horizon)
         else:
             step = self.step
@@ -598,8 +615,14 @@ class Environment:
         One Python method call per event is measurable at the
         millions-of-events scale of a deployment run, so the body is
         :meth:`step` minus the empty-schedule guard (the loop condition
-        establishes it) and the trace call (absent by construction).
+        establishes it).  The trace hook, if any, is called inline with
+        the same arguments :meth:`step` passes.
         """
+        trace = self._trace
+        if isinstance(getattr(type(trace), "__call__", None), FunctionType):
+            # A callable object: its bound ``__call__`` skips the
+            # instance-call slot on every event.
+            trace = trace.__call__
         queue = self._queue
         fseq = self._fifo_seq
         fev = self._fifo_ev
@@ -610,25 +633,23 @@ class Environment:
         # exceeds an un-reached horizon, so only the heap front needs the
         # horizon comparison.
         while fseq or (queue and queue[0][0] <= horizon):
-            if fseq:
-                if queue:
-                    head = queue[0]
-                    # The heap front wins only at the current time with
-                    # a beating priority or an earlier seq (now-bucket
-                    # entries are always (now, 1, seq)).
-                    if head[0] == now and (
-                        head[1] == 0 or (head[1] == 1 and head[2] < fseq[0])
-                    ):
-                        event = _heappop(queue)[3]
-                    else:
-                        fseq_pop()
-                        event = fev_pop()
-                else:
-                    fseq_pop()
-                    event = fev_pop()
+            # The heap front wins over a non-empty now bucket only at the
+            # current time with a beating priority or an earlier seq
+            # (now-bucket entries are always (now, 1, seq)).
+            if fseq and not (
+                queue
+                and (head := queue[0])[0] == now
+                and (head[1] == 0 or (head[1] == 1 and head[2] < fseq[0]))
+            ):
+                seq = fseq_pop()
+                event = fev_pop()
+                if trace is not None:
+                    trace(now, 1, seq, event)
             else:
-                when, _p, _s, event = _heappop(queue)
+                when, priority, seq, event = _heappop(queue)
                 self._now = now = when
+                if trace is not None:
+                    trace(when, priority, seq, event)
             callbacks = event.callbacks
             event.callbacks = None
             event._state = _PROCESSED

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,21 +130,21 @@ class LogNormal(Distribution):
 
     mean: float
     cv: float = 0.5
+    #: Underlying normal's parameters, derived once from (mean, cv).
+    mu: float = field(init=False, repr=False, compare=False)
+    sigma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mean <= 0:
             raise ValueError(f"mean must be > 0, got {self.mean}")
         if self.cv <= 0:
             raise ValueError(f"cv must be > 0, got {self.cv}")
-
-    def _params(self) -> tuple[float, float]:
         sigma2 = math.log(1.0 + self.cv**2)
-        mu = math.log(self.mean) - sigma2 / 2.0
-        return mu, math.sqrt(sigma2)
+        object.__setattr__(self, "mu", math.log(self.mean) - sigma2 / 2.0)
+        object.__setattr__(self, "sigma", math.sqrt(sigma2))
 
     def sample(self, rng: np.random.Generator) -> float:
-        mu, sigma = self._params()
-        return float(rng.lognormal(mu, sigma))
+        return float(rng.lognormal(self.mu, self.sigma))
 
     def scaled(self, factor: float) -> "LogNormal":
         return LogNormal(self.mean * factor, self.cv)

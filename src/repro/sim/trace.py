@@ -22,8 +22,10 @@ Both hooks are also on the per-event hot path of every traced run, so
 they avoid per-event object churn: the recorder stores the three numeric
 columns in flat ``array`` buffers (amortised append, no tuple per event)
 and interns one name string per event *type*; the digest packs events
-into a reusable ``bytearray`` chunk and folds it into the hash every
-``_CHUNK_EVENTS`` events, with encoded type names cached per type.  The
+into a reusable ``bytearray`` chunk and folds it into the hash once the
+chunk reaches ``_CHUNK_BYTES``, with encoded type names cached per type.
+BLAKE2b hashes the concatenated stream, so the chunk boundaries do not
+change the digest.  The
 byte stream each exposes (``as_bytes`` / the hashed stream) is identical
 to the original tuple-per-event implementation, so recorded traces and
 archived digests stay comparable across versions.
@@ -49,10 +51,10 @@ __all__ = ["EventTraceRecorder", "RunDigest", "write_digest"]
 
 _PACK = struct.Struct("<dqq").pack
 
-#: Events buffered per digest chunk before folding into the hash.  Each
-#: event contributes 24 packed bytes plus a short type name, so a chunk
-#: stays well under a page while cutting hash-update calls ~256x.
-_CHUNK_EVENTS = 256
+#: Bytes buffered per digest chunk before folding into the hash.  Each
+#: event contributes 24 packed bytes plus a short type name (about 30
+#: bytes), so a chunk holds a few hundred events and stays near a page.
+_CHUNK_BYTES = 8192
 
 
 class EventTraceRecorder:
@@ -104,6 +106,14 @@ class EventTraceRecorder:
         return repr(self.entries).encode("utf-8")
 
 
+class _NameBytes(dict):
+    """Event type -> ASCII-encoded type name, filled on first lookup."""
+
+    def __missing__(self, cls: type) -> bytes:
+        name = self[cls] = cls.__name__.encode("ascii")
+        return name
+
+
 class RunDigest:
     """Trace hook folding the event trace into a BLAKE2b checksum.
 
@@ -111,44 +121,33 @@ class RunDigest:
     ``REPRO_SCALE=full``.  The digest covers exactly what
     :class:`EventTraceRecorder` records: scheduling time, priority,
     sequence number, and event type name -- i.e. two runs have equal
-    digests iff their event traces are identical.
+    digests iff their event traces are identical.  :attr:`events` counts
+    the events folded in.
     """
 
-    __slots__ = ("_hash", "_buf", "_pending", "_name_bytes", "events")
+    __slots__ = ("_hash", "_buf", "_names", "events")
 
     def __init__(self) -> None:
         self._hash = hashlib.blake2b(digest_size=16)
         self._buf = bytearray()
-        self._pending = 0
-        # Encoded type names, cached per event type (ascii encode once).
-        self._name_bytes: dict[type, bytes] = {}
+        self._names = _NameBytes()
         self.events = 0
 
     def __call__(self, when: float, priority: int, seq: int, event: Event) -> None:
-        cls = event.__class__
-        names = self._name_bytes
-        name = names.get(cls)
-        if name is None:
-            name = names[cls] = cls.__name__.encode("ascii")
         buf = self._buf
         buf += _PACK(when, priority, seq)
-        buf += name
+        buf += self._names[event.__class__]
         self.events += 1
-        pending = self._pending = self._pending + 1
-        if pending >= _CHUNK_EVENTS:
+        if len(buf) >= _CHUNK_BYTES:
             self._hash.update(buf)
             del buf[:]
-            self._pending = 0
-
-    def _flush(self) -> None:
-        if self._pending:
-            self._hash.update(self._buf)
-            del self._buf[:]
-            self._pending = 0
 
     def hexdigest(self) -> str:
         """Hex checksum of the trace so far (does not finalise the hook)."""
-        self._flush()
+        buf = self._buf
+        if buf:
+            self._hash.update(buf)
+            del buf[:]
         return self._hash.copy().hexdigest()
 
 

@@ -91,8 +91,9 @@ class LatencyHandle:
 
     def record(self, value: float) -> None:
         """Record one latency observation (same as hub.record_latency)."""
-        # Same window arithmetic as MetricsHub._window, inlined.
-        window = int(_floor(self._clock() / self._window_s))
+        # Same window arithmetic as MetricsHub._window, inlined
+        # (math.floor of a float already returns an int).
+        window = _floor(self._clock() / self._window_s)
         series = self._series
         dist = series.get(window)
         if dist is None:
@@ -119,7 +120,7 @@ class CounterHandle:
         """Increment the counter (same as hub.inc_counter)."""
         if amount < 0:
             raise TelemetryError(f"counter increment must be >= 0, got {amount}")
-        window = int(_floor(self._clock() / self._window_s))
+        window = _floor(self._clock() / self._window_s)
         series = self._series
         series[window] = series.get(window, 0.0) + amount
 
@@ -141,7 +142,8 @@ class MetricsHub:
     """Time-windowed metric aggregation for one simulation.
 
     The hub needs the current simulation time on every write; callers pass
-    a clock function (usually ``lambda: env.now``) at construction.
+    a clock function (usually ``lambda: env._now``, which skips the
+    ``now`` property on every write) at construction.
 
     Writes are validated against a
     :class:`~repro.telemetry.registry.MetricRegistry`: an undeclared name,

@@ -42,6 +42,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.errors import TelemetryError
@@ -379,16 +380,16 @@ class SLOMonitor:
         }
 
     def attach_services(self, app: "Application") -> None:
-        """Subscribe to per-service completion hooks of every service."""
+        """Subscribe to per-service completion hooks of every service.
 
-        def listener_for(service_name: str):
-            def listener(request, request_class: str, latency: float) -> None:
-                self.observe_service(service_name, request_class, latency)
-
-            return listener
-
+        The hook fires once per service *hop* -- several times per
+        request -- so the listener is :meth:`_on_hop` itself, bound to
+        the service name, with no wrapper call in between.
+        """
         for name in sorted(app.services):
-            app.services[name].completion_listeners.append(listener_for(name))
+            app.services[name].completion_listeners.append(
+                partial(self._on_hop, name)
+            )
 
     # -- observation -------------------------------------------------------
     def observe(self, request_class: str, latency: float) -> None:
@@ -459,7 +460,16 @@ class SLOMonitor:
         self, service: str, request_class: str, latency: float
     ) -> None:
         """Count one per-service completion against its MIP budget."""
-        budget = self._service_budgets.get(request_class, {}).get(service)
+        self._on_hop(service, None, request_class, latency)
+
+    def _on_hop(
+        self, service: str, _request, request_class: str, latency: float
+    ) -> None:
+        """Per-service completion listener (see :meth:`attach_services`)."""
+        budgets = self._service_budgets.get(request_class)
+        if budgets is None:
+            return
+        budget = budgets.get(service)
         if budget is None:
             return
         counts = self._service_counts.get((service, request_class))

@@ -1,9 +1,18 @@
 """Tests for call trees, requests and message queues."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.apps import (
+    build_media_service_spec,
+    build_social_network_spec,
+    build_vanilla_social_network_spec,
+    build_video_pipeline_spec,
+)
 from repro.errors import TopologyError
-from repro.net.messages import Call, Request
+from repro.net.messages import Call, CallMode, Request
 from repro.net.mq import MessageQueue
 from repro.sim import Environment
 
@@ -79,3 +88,74 @@ def test_mq_cancel_consume():
     queue.publish("x")
     # The cancelled getter must not swallow the message.
     assert queue.depth == 1
+
+
+_MODES = {"mq": CallMode.MQ, "rpc": CallMode.RPC, "event": CallMode.EVENT}
+
+
+def _scanned_children(call: Call, mode: CallMode) -> list[Call]:
+    """The per-hop scan the cached split replaced: filter, then repeat."""
+    out = []
+    for child in call.children:
+        if child.mode == mode:
+            for _ in range(child.repeat):
+                out.append(child)
+    return out
+
+
+def _assert_split_matches_scan(call: Call) -> None:
+    for name, mode in _MODES.items():
+        cached = getattr(call, f"{name}_children")
+        assert isinstance(cached, tuple)
+        assert list(cached) == _scanned_children(call, mode)
+        assert all(a is b for a, b in zip(cached, _scanned_children(call, mode)))
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        build_social_network_spec,
+        build_vanilla_social_network_spec,
+        build_media_service_spec,
+        build_video_pipeline_spec,
+    ],
+)
+def test_cached_child_split_matches_per_mode_scan(builder):
+    spec = builder()
+    nodes = [call for rc in spec.request_classes for call in rc.tree.walk()]
+    assert nodes
+    for call in nodes:
+        _assert_split_matches_scan(call)
+
+
+def test_cached_child_split_expands_repeat_in_tree_order():
+    tree = Call(
+        "a",
+        children=(
+            Call("b", CallMode.MQ, repeat=2),
+            Call("c", repeat=3),
+            Call("d", CallMode.EVENT),
+            Call("e", CallMode.MQ),
+            Call("f"),
+        ),
+    )
+    assert [c.service for c in tree.mq_children] == ["b", "b", "e"]
+    assert [c.service for c in tree.rpc_children] == ["c", "c", "c", "f"]
+    assert [c.service for c in tree.event_children] == ["d"]
+    _assert_split_matches_scan(tree)
+
+
+def test_cached_child_split_survives_pickle_and_replace():
+    tree = Call(
+        "a",
+        children=(Call("b", CallMode.MQ, repeat=2), Call("c"), Call("d", CallMode.EVENT)),
+    )
+    clone = pickle.loads(pickle.dumps(tree))
+    assert clone == tree and hash(clone) == hash(tree)
+    _assert_split_matches_scan(clone)
+    replaced = dataclasses.replace(tree, children=(Call("x", CallMode.EVENT, repeat=2),))
+    _assert_split_matches_scan(replaced)
+    assert [c.service for c in replaced.event_children] == ["x", "x"]
+    assert replaced.mq_children == () and replaced.rpc_children == ()
+    # Derived tuples stay out of equality and the repr.
+    assert "mq_children" not in repr(tree)

@@ -1,22 +1,26 @@
 """Drain-loop equivalence: every way of running a schedule pops one order.
 
 :meth:`Environment.run` drains the schedule through one of two loops --
-the inlined ``_drain`` fast path (no trace hook, ``step`` not
-overridden, the run stops at a time) or the generic ``step()`` loop (a
-trace hook, an overridden ``step``, or a stop event).  Both must pop the
-exact global ``(time, priority, seq)`` order.  This file is the
-executable form of that promise: a randomized workload mixing
-zero-delay triggers, far-future timers, priority interrupts, detached
-timeouts and resource contention is run four ways, and the processes'
-own ``(env.now, tag)`` logs must match entry for entry.
+the inlined ``_drain`` loop (``step`` not overridden, the run stops at a
+time; it calls a trace hook inline) or the generic ``step()`` loop (an
+overridden ``step``, or a stop event).  Both must pop the exact global
+``(time, priority, seq)`` order and hand a trace hook the same entries.
+This file is the executable form of that promise: a randomized workload
+mixing zero-delay triggers, far-future timers, priority interrupts,
+detached timeouts and resource contention is run several ways, and the
+processes' own ``(env.now, tag)`` logs -- and the traced entries --
+must match entry for entry.
 """
+
+import hashlib
+import struct
 
 import pytest
 
 from repro.sim.engine import Environment, Interrupt
 from repro.sim.random import RandomStreams
 from repro.sim.resources import Resource
-from repro.sim.trace import RunDigest
+from repro.sim.trace import _CHUNK_BYTES, EventTraceRecorder, RunDigest
 
 #: Simulated horizon of every run.
 _UNTIL = 60.0
@@ -156,3 +160,60 @@ def test_same_seed_traced_runs_share_a_digest():
     other = RunDigest()
     _run(Environment(trace=other), seed=22)
     assert other.hexdigest() != digests[0]
+
+
+def _no_step(self):
+    raise AssertionError("a _drain run must not go through step()")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+def test_drain_hooks_see_the_step_loop_entries(seed, monkeypatch):
+    # Reference: the step()-overriding subclass, which calls the hook
+    # from step().
+    stepped = EventTraceRecorder()
+    stepped_log = _run(_SteppingEnvironment(trace=stepped), seed)
+
+    function_entries: list = []
+
+    def function_hook(when, priority, seq, event):
+        function_entries.append((when, priority, seq, type(event).__name__))
+
+    # Both hooked runs below must take the inlined _drain loop.
+    monkeypatch.setattr(Environment, "step", _no_step)
+    recorder = EventTraceRecorder()  # a callable object
+    assert _run(Environment(trace=recorder), seed) == stepped_log
+    assert _run(Environment(trace=function_hook), seed) == stepped_log
+
+    assert any(priority == 0 for _w, priority, _s, _n in stepped.entries)
+    assert recorder.entries == stepped.entries
+    assert function_entries == stepped.entries
+
+
+def _naive_digest(entries) -> str:
+    """BLAKE2b-16 over each entry packed on its own (no buffering)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for when, priority, seq, name in entries:
+        digest.update(struct.pack("<dqq", when, priority, seq) + name.encode("ascii"))
+    return digest.hexdigest()
+
+
+def _run_several(env: Environment, seed: int) -> None:
+    """Four workloads in one environment: a trace several chunks long."""
+    log: list = []
+    for k in range(4):
+        _random_workload(env, seed + k, log)
+    env.run(until=_UNTIL)
+
+
+@pytest.mark.parametrize("seed", [3, 42, 2024])
+def test_run_digest_matches_naive_reference(seed):
+    recorder = EventTraceRecorder()
+    _run_several(Environment(trace=recorder), seed)
+    digest = RunDigest()
+    _run_several(Environment(trace=digest), seed)
+    entries = recorder.entries
+    assert any(priority == 0 for _w, priority, _s, _n in entries)
+    # Long enough that the digest folds several buffered chunks.
+    assert len(entries) * 24 > 3 * _CHUNK_BYTES
+    assert digest.events == len(entries)
+    assert digest.hexdigest() == _naive_digest(entries)

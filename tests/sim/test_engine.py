@@ -447,3 +447,39 @@ def test_run_until_unfired_event_with_subclassed_step():
     with pytest.raises(SimulationError, match="never fired"):
         env.run(until=env.event())
     assert CountingEnvironment.steps > 0
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [lambda env: env.timeout(_NAN), lambda env: env.timeout_at(_NAN)],
+    ids=["timeout", "timeout_at"],
+)
+def test_nan_time_rejected_before_scheduling(schedule):
+    # A NaN time compares false against everything, so once in the heap
+    # it silently breaks the heap order; it must never get there.
+    env = Environment()
+    env.run(until=2.0)
+    with pytest.raises(SimulationError, match="NaN"):
+        schedule(env)
+    assert env.peek() == float("inf")
+    assert env.now == 2.0
+
+
+def test_run_until_nan_rejected_and_clock_untouched():
+    env = Environment()
+    fired = []
+
+    def proc(env):
+        yield env.timeout(1.0)
+        fired.append(env.now)
+
+    env.process(proc(env))
+    with pytest.raises(SimulationError, match="NaN"):
+        env.run(until=_NAN)
+    assert env.now == 0.0
+    assert fired == []
+    env.run(until=3.0)
+    assert fired == [1.0]

@@ -1,5 +1,9 @@
 """Unit and property tests for random streams and distributions."""
 
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,3 +118,35 @@ def test_streams_reproducible_property(seed, name):
     a = RandomStreams(seed=seed).stream(name).random(5)
     b = RandomStreams(seed=seed).stream(name).random(5)
     assert np.array_equal(a, b)
+
+
+def _uncached_lognormal_draw(dist: LogNormal, rng: np.random.Generator) -> float:
+    """The per-sample parameter formula the cached (mu, sigma) replaced."""
+    sigma2 = math.log(1.0 + dist.cv**2)
+    mu = math.log(dist.mean) - sigma2 / 2.0
+    return float(rng.lognormal(mu, math.sqrt(sigma2)))
+
+
+@pytest.mark.parametrize("mean, cv", [(0.005, 0.5), (0.3, 0.25), (12.0, 1.7)])
+def test_lognormal_cached_params_draw_bit_identically(mean, cv):
+    dist = LogNormal(mean, cv)
+    cached_rng = np.random.default_rng(2024)
+    reference_rng = np.random.default_rng(2024)
+    cached = [dist.sample(cached_rng) for _ in range(500)]
+    reference = [_uncached_lognormal_draw(dist, reference_rng) for _ in range(500)]
+    assert cached == reference
+
+
+def test_lognormal_params_survive_pickle_and_replace():
+    dist = LogNormal(0.02, 0.6)
+    clone = pickle.loads(pickle.dumps(dist))
+    assert clone == dist
+    assert (clone.mu, clone.sigma) == (dist.mu, dist.sigma)
+    replaced = dataclasses.replace(dist, cv=1.2)
+    assert (replaced.mu, replaced.sigma) == (
+        LogNormal(0.02, 1.2).mu,
+        LogNormal(0.02, 1.2).sigma,
+    )
+    assert (replaced.mu, replaced.sigma) != (dist.mu, dist.sigma)
+    # The derived parameters stay out of equality and the repr.
+    assert "mu" not in repr(dist)
