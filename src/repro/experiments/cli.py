@@ -14,6 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.experiments.store import RunMeta
 
 __all__ = ["main"]
 
@@ -61,6 +66,25 @@ class _ProgressReporter:
 _TRACEABLE = frozenset({"fig09", "fig10", "fig11-12"})
 
 
+@dataclass(frozen=True)
+class ExperimentOutput:
+    """What one experiment run hands back to :func:`main`."""
+
+    #: The rendered tables/series printed to stdout.
+    text: str
+    #: Provenance persisted alongside ``text`` by ``--save``; ``summary``
+    #: aggregates other results and carries none of its own.
+    meta: RunMeta | None = None
+    #: Each traced run's serialized span trees, by source (non-empty
+    #: only with ``trace_runs``, for ``--dump-traces``).
+    trace_sources: dict[str, str] = field(default_factory=dict)
+    #: The ``(text, html, meta)`` dashboard bundle (fig11-12 ``--report``).
+    report: tuple[str, str, RunMeta] | None = None
+    #: HTML rendering of ``text``, saved as a sidecar-recorded artifact
+    #: (fleet only).
+    html: str | None = None
+
+
 def _run(
     name: str,
     apps: list[str] | None,
@@ -70,19 +94,8 @@ def _run(
     report_runs: bool = False,
     cells: int = 8,
     smoke: bool = False,
-):
-    """Run one experiment.
-
-    Returns ``(text, meta, jsonl_by_source, report, html)``.  ``meta``
-    is the provenance :class:`~repro.experiments.store.RunMeta`
-    persisted alongside the text when ``--save`` is given; ``summary``
-    aggregates other results and carries no provenance of its own.
-    ``jsonl_by_source`` holds each traced run's serialized span trees
-    (non-empty only with ``trace_runs``, for ``--dump-traces``).
-    ``report`` is the ``(text, html, meta)`` dashboard bundle when
-    ``report_runs`` (fig11-12 only); ``html`` is an HTML rendering of
-    the main output saved as a sidecar-recorded artifact (fleet only).
-    """
+) -> ExperimentOutput:
+    """Run one experiment (see :class:`ExperimentOutput`)."""
     if name == "fleet":
         from repro.api import RunOptions, SLOOptions, simulate_fleet
         from repro.fleet import default_fleet, fleet_report
@@ -99,7 +112,7 @@ def _run(
             on_complete=on_complete,
         )
         text, html, meta = fleet_report(result)
-        return text, meta, {}, None, html
+        return ExperimentOutput(text, meta, html=html)
     if name == "fig02":
         from repro.experiments.fig02_backpressure import (
             experiment_meta,
@@ -108,7 +121,7 @@ def _run(
         )
 
         heatmaps = run_all_chains()
-        return render_report(heatmaps), experiment_meta(heatmaps), {}, None, None
+        return ExperimentOutput(render_report(heatmaps), experiment_meta(heatmaps))
     if name == "fig04":
         from repro.experiments.fig04_thresholds import (
             experiment_meta,
@@ -116,7 +129,7 @@ def _run(
         )
 
         curves = run_threshold_profiling()
-        return curves.render(), experiment_meta(curves), {}, None, None
+        return ExperimentOutput(curves.render(), experiment_meta(curves))
     if name == "table05":
         from repro.experiments.table05_exploration import (
             experiment_meta,
@@ -124,7 +137,7 @@ def _run(
         )
 
         table = run_table05(jobs=jobs, on_complete=on_complete)
-        return table.render(), experiment_meta(table), {}, None, None
+        return ExperimentOutput(table.render(), experiment_meta(table))
     if name in ("fig09", "fig10"):
         from repro.experiments.fig09_10_model_accuracy import (
             FIG9_10_SEED,
@@ -151,12 +164,10 @@ def _run(
         sources = (
             {app_name: result.traces.jsonl} if result.traces is not None else {}
         )
-        return (
+        return ExperimentOutput(
             result.render(),
             experiment_meta(result, _RESULT_NAMES[name]),
-            sources,
-            None,
-            None,
+            trace_sources=sources,
         )
     if name == "fig11-12":
         from repro.experiments.fig11_12_performance import (
@@ -198,7 +209,9 @@ def _run(
             if result is not None and result.traces is not None
         }
         report = report_artifacts(grid) if report_runs else None
-        return text, experiment_meta(grid), sources, report, None
+        return ExperimentOutput(
+            text, experiment_meta(grid), trace_sources=sources, report=report
+        )
     if name == "fig13":
         from repro.experiments.fig13_diurnal import (
             experiment_meta,
@@ -206,7 +219,7 @@ def _run(
         )
 
         trace = run_diurnal_trace(jobs=jobs, on_complete=on_complete)
-        return trace.render(), experiment_meta(trace), {}, None, None
+        return ExperimentOutput(trace.render(), experiment_meta(trace))
     if name == "table06":
         from repro.experiments.table06_control_plane import (
             experiment_meta,
@@ -214,7 +227,7 @@ def _run(
         )
 
         table = run_table06()
-        return table.render(), experiment_meta(table), {}, None, None
+        return ExperimentOutput(table.render(), experiment_meta(table))
     if name == "fig14":
         from repro.experiments.fig14_service_change import (
             experiment_meta,
@@ -222,11 +235,11 @@ def _run(
         )
 
         result = run_service_change(jobs=jobs, on_complete=on_complete)
-        return result.render(), experiment_meta(result), {}, None, None
+        return ExperimentOutput(result.render(), experiment_meta(result))
     if name == "summary":
         from repro.experiments.summary import summarize
 
-        return summarize(), None, {}, None, None
+        return ExperimentOutput(summarize())
     raise ValueError(f"unknown experiment {name!r}")
 
 
@@ -367,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         # .parallel; workers fork after imports are done).
         if (args.jobs or default_jobs()) > 1:
             warm_pool(args.jobs)
-    text, meta, trace_sources, report, html = _run(
+    out = _run(
         args.experiment,
         apps,
         args.jobs,
@@ -377,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         cells=cells,
         smoke=args.smoke,
     )
-    print(text)
-    if args.save and meta is not None:
+    print(out.text)
+    if args.save and out.meta is not None:
         from repro.experiments import store
 
         result_name = _RESULT_NAMES[args.experiment]
@@ -386,17 +399,19 @@ def main(argv: list[str] | None = None) -> int:
             result_name = "fleet_smoke"
         path = store.save_result(
             result_name,
-            text,
-            meta,
+            out.text,
+            out.meta,
             artifacts=(
-                {f"{result_name}.html": html} if html is not None else None
+                {f"{result_name}.html": out.html}
+                if out.html is not None
+                else None
             ),
         )
         print(f"[saved to {path}]", file=sys.stderr)
-    if report is not None:
+    if out.report is not None:
         from repro.experiments import store
 
-        report_text, report_html, report_meta = report
+        report_text, report_html, report_meta = out.report
         print(report_text)
         path = store.save_result(
             "fig11_12_report",
@@ -408,11 +423,11 @@ def main(argv: list[str] | None = None) -> int:
             f"[report saved to {path} + fig11_12_report.html]",
             file=sys.stderr,
         )
-    if args.dump_traces is not None and trace_sources:
+    if args.dump_traces is not None and out.trace_sources:
         from repro.experiments.traces import dump_slowest_traces
 
         paths = dump_slowest_traces(
-            trace_sources,
+            out.trace_sources,
             args.dump_traces,
             "results/traces",
             _RESULT_NAMES[args.experiment],

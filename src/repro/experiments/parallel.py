@@ -51,6 +51,7 @@ import atexit
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -148,6 +149,10 @@ def named_seeds(
         )
         for name in names
     }
+
+
+def _name(plan: RunPlan) -> str:
+    return plan.label or getattr(plan.fn, "__name__", "run")
 
 
 def _execute(plan: RunPlan) -> Any:
@@ -270,7 +275,10 @@ def run_many(
     pooled mode it fires in completion order -- which may differ from
     plan order -- so callbacks must not assume ordering; the returned
     list is the ordering contract.  A callback or plan exception
-    propagates, cancelling any chunks that have not started yet.
+    propagates, cancelling any chunks that have not started yet.  A
+    worker that dies outright (SIGKILL, OOM kill) surfaces as
+    :class:`~concurrent.futures.process.BrokenProcessPool` naming the
+    labels of every plan whose results were still outstanding.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -308,7 +316,18 @@ def run_many(
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 index = in_flight.pop(future)
-                results_for_chunk = future.result()
+                try:
+                    results_for_chunk = future.result()
+                except BrokenProcessPool as exc:
+                    lost = [
+                        _name(plan)
+                        for i in sorted([index, *in_flight.values()])
+                        for plan in chunks[i]
+                    ]
+                    raise BrokenProcessPool(
+                        "a pool worker died abruptly; plans in flight: "
+                        + ", ".join(lost)
+                    ) from exc
                 chunk_results[index] = results_for_chunk
                 if on_complete is not None:
                     for plan, result in zip(chunks[index], results_for_chunk):

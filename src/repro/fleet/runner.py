@@ -10,7 +10,9 @@ A fleet run is two epochs, each one :func:`repro.experiments.parallel
 2. **Main** -- every registered allocator's budget assignment runs at
    full fleet durations, so the pinned dashboard compares the greedy
    headroom-stealer against static-equal on the *same* workloads at the
-   *same* total node count.
+   *same* total node count.  A cell whose plan is identical across
+   allocators runs once and its result serves every allocator that
+   asked for it (:func:`_share_runs`).
 
 Everything between the epochs is pure arithmetic on plain data, so a
 fleet run is as deterministic as its cells: same spec + options =>
@@ -20,7 +22,7 @@ any cell-submission order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.experiments import artifacts
 
@@ -136,10 +138,10 @@ class FleetPlan:
     ) -> list[RunPlan]:
         """One flat plan list covering every allocator's assignment.
 
-        A cell whose budget agrees across allocators still runs once per
-        allocator -- with *identical* plan kwargs, which is exactly what
-        the allocator-purity tests pin (identical budgets => identical
-        run digests).
+        Allocator-major, cells in name order: one plan per (allocator,
+        cell).  A cell whose budget agrees across allocators gets
+        *identical* plan kwargs under each of them; :func:`run_fleet`
+        executes such duplicates once (see :func:`_share_runs`).
         """
         return [
             RunPlan(
@@ -241,6 +243,47 @@ def _prewarm(spec: FleetSpec) -> None:
         artifacts.exploration_result(app_name)
 
 
+def _share_runs(
+    plans: list[RunPlan], served: list[tuple[str, str]]
+) -> tuple[list[RunPlan], list[int]]:
+    """Collapse plans that would run the same simulation.
+
+    ``served[i]`` is the ``(allocator, cell)`` pair plan ``i`` was
+    lowered for.  Two plans share a run exactly when their function and
+    kwargs are equal -- a plan's result is a pure function of both (the
+    :mod:`repro.experiments.parallel` determinism contract) -- so any
+    per-allocator difference in the options keeps the runs apart.
+
+    Returns the distinct plans in first-occurrence order, each labelled
+    with every allocator it serves (``fleet:greedy+static:<cell>``), and
+    for each input plan the index of the distinct plan that answers it.
+    """
+    distinct: list[RunPlan] = []
+    members: list[list[tuple[str, str]]] = []
+    index = []
+    for plan, pair in zip(plans, served, strict=True):
+        for slot, shared in enumerate(distinct):
+            if shared.fn is plan.fn and shared.kwargs == plan.kwargs:
+                break
+        else:
+            slot = len(distinct)
+            distinct.append(plan)
+            members.append([])
+        members[slot].append(pair)
+        index.append(slot)
+    labelled = [
+        replace(
+            plan,
+            label="fleet:{}:{}".format(
+                "+".join(dict.fromkeys(a for a, _ in pairs)),
+                "+".join(dict.fromkeys(c for _, c in pairs)),
+            ),
+        )
+        for plan, pairs in zip(distinct, members)
+    ]
+    return labelled, index
+
+
 def _probe_signals(
     spec: FleetSpec,
     budgets: dict[str, int],
@@ -273,8 +316,10 @@ def run_fleet(
 
     ``options`` defaults to digested runs at the ``fleet`` scale profile
     (shorter per-cell durations than ``quick``; artefact caches are
-    shared with quick runs).  ``on_complete`` fires per finished cell
-    run, across both epochs, for progress reporting.
+    shared with quick runs).  ``on_complete`` fires per executed cell
+    run, across both epochs, for progress reporting: a main-epoch run
+    shared by several allocators fires once, under a label naming all
+    of them.
     """
     spec = spec if spec is not None else default_fleet()
     options = (
@@ -301,12 +346,17 @@ def run_fleet(
         name: allocate(spec, signals)
         for name, allocate in sorted(ALLOCATORS.items())
     }
-    main = run_many(
+    distinct, index = _share_runs(
         plan.main_plans(budgets_by_allocator),
+        [(a, name) for a in sorted(budgets_by_allocator) for name in names],
+    )
+    runs = run_many(
+        distinct,
         jobs=jobs,
         on_complete=on_complete,
         prewarm=lambda: _prewarm(spec),
     )
+    main = [runs[i] for i in index]
     outcomes = {}
     offset = 0
     for allocator, budgets in sorted(budgets_by_allocator.items()):

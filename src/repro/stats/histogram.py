@@ -185,16 +185,6 @@ class FixedHistogram:
         if value > self._max:
             self._max = value
 
-    def add(self, value: float, count: int = 1) -> None:
-        """Alias of :meth:`record`.
-
-        Duck-compatible with
-        :meth:`repro.stats.distributions.EmpiricalDistribution.add`, so a
-        histogram can stand in wherever a distribution is accumulated
-        one observation at a time (e.g. a hub's ``latency_store="fixed"``).
-        """
-        self.record(value, count)
-
     def merge(self, other: "FixedHistogram") -> "FixedHistogram":
         """A new histogram pooling both (requires identical bucketing)."""
         if (self.min_value, self.max_value, self.bins) != (

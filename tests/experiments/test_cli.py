@@ -1,5 +1,7 @@
 """Tests for the CLI surface (argument handling; no heavy experiments)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, _run, main
@@ -21,8 +23,8 @@ def test_run_rejects_bad_name():
 
 
 def test_table05_branch_returns_five_values(monkeypatch):
-    # main() unpacks exactly (text, meta, trace_sources, report, html)
-    # from _run; stub out the heavy experiment and pin the table05 arity.
+    # main() reads the five fields of the ExperimentOutput that _run
+    # returns; stub out the heavy experiment and pin the table05 branch.
     import repro.experiments.table05_exploration as t05
 
     class _Table:
@@ -33,12 +35,14 @@ def test_table05_branch_returns_five_values(monkeypatch):
         t05, "run_table05", lambda jobs=None, on_complete=None: _Table()
     )
     monkeypatch.setattr(t05, "experiment_meta", lambda table: {"seed": 1})
-    text, meta, trace_sources, report, html = _run("table05", None, None)
-    assert text == "rendered"
-    assert meta == {"seed": 1}
-    assert trace_sources == {}
-    assert report is None
-    assert html is None
+    out = _run("table05", None, None)
+    assert out.text == "rendered"
+    assert out.meta == {"seed": 1}
+    assert out.trace_sources == {}
+    assert out.report is None
+    assert out.html is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.text = "mutated"
 
 
 def test_help_exits_zero(capsys):

@@ -260,6 +260,20 @@ def test_broken_pool_recovers_on_next_grid(cold_pool):
     assert cheap_grid(23, jobs=2) == cheap_grid(23, jobs=1)
 
 
+def test_broken_pool_names_plans_in_flight(cold_pool):
+    from concurrent.futures.process import BrokenProcessPool
+
+    plans = [
+        RunPlan(cheap_cell, {"app": "a", "load": "l", "seed": 1}, label="ok-1"),
+        RunPlan(suicide_cell, label="fleet:greedy:cell03-doomed"),
+        RunPlan(cheap_cell, {"app": "a", "load": "l", "seed": 2}, label="ok-2"),
+    ]
+    with pytest.raises(BrokenProcessPool, match="fleet:greedy:cell03-doomed"):
+        run_many(plans, jobs=2, chunk_size=1)
+    # The named failure still leaves the next grid a working pool.
+    assert cheap_grid(23, jobs=2) == cheap_grid(23, jobs=1)
+
+
 def test_on_complete_exception_leaves_pool_usable(cold_pool):
     plans = [
         RunPlan(cheap_cell, {"app": "a", "load": "l", "seed": s}) for s in range(6)

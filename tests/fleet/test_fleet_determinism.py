@@ -3,7 +3,7 @@
 Uses a deliberately tiny, uncontended two-cell fleet (media + video, the
 two cheapest apps) so three full fleet runs stay test-suite friendly;
 the allocator-behaviour cases live in ``test_allocator.py`` as pure
-unit tests.
+unit tests, and the run-sharing bookkeeping in ``test_shared_runs.py``.
 """
 
 import pytest
@@ -44,8 +44,19 @@ def _spec(cells=CELLS):
 
 
 @pytest.fixture(scope="module")
-def baseline():
-    return simulate_fleet(_spec(), options=OPTIONS, jobs=1)
+def completions():
+    """Labels of the baseline's executed runs, in completion order."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def baseline(completions):
+    return simulate_fleet(
+        _spec(),
+        options=OPTIONS,
+        jobs=1,
+        on_complete=lambda plan, _result: completions.append(plan.label),
+    )
 
 
 def test_plan_lowering(baseline):
@@ -90,18 +101,37 @@ def test_fleet_is_cell_order_invariant(baseline):
     assert fleet_report(shuffled)[0] == fleet_report(baseline)[0]
 
 
+def test_main_epoch_runs_each_distinct_plan_once(baseline, completions):
+    """Agreeing budgets share one main-epoch run per cell: 2 probes + 2
+    shared main runs, each labelled with every allocator it serves."""
+    assert completions == [
+        "fleet:probe:a-media",
+        "fleet:probe:b-video",
+        "fleet:greedy+static:a-media",
+        "fleet:greedy+static:b-video",
+    ]
+    static = baseline.outcomes["static"]
+    greedy = baseline.outcomes["greedy"]
+    for name in static.results:
+        assert static.results[name] is greedy.results[name]
+
+
 def test_allocator_purity(baseline):
-    """Cells whose budgets agree across allocators ran identically."""
+    """A plan duplicated across allocators, executed on its own, runs
+    byte-identically to the shared result -- the property that makes
+    sharing sound."""
     static = baseline.outcomes["static"]
     greedy = baseline.outcomes["greedy"]
     # An uncontended fleet never rebalances...
     assert greedy.budgets == static.budgets
-    # ...and equal budgets mean byte-identical runs, per cell.
-    for name in static.results:
-        assert (
-            static.results[name].run_digest
-            == greedy.results[name].run_digest
-        )
+    # ...and equal budgets mean byte-identical runs, per cell: run the
+    # static allocator's plans separately, outside the shared epoch.
+    plans = plan_fleet(_spec(), OPTIONS).main_plans({"static": static.budgets})
+    for name, plan in zip(sorted(static.results), plans, strict=True):
+        assert plan.label == f"fleet:static:{name}"
+        rerun = plan()
+        assert rerun.run_digest is not None
+        assert rerun.run_digest == greedy.results[name].run_digest
 
 
 def test_fleet_meta_routes_to_fleet_scale(baseline):
